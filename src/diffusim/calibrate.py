@@ -26,7 +26,8 @@ MAX_ITERATIONS = 500
 
 
 class DegenerateTrajectory(ValueError):
-    """Observed proportions have zero variance; r-squared is undefined."""
+    """The trajectory cannot be fitted: fewer than 4 ticks in the fit window,
+    or observed proportions with zero variance (r-squared undefined)."""
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,12 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
     converged=False rather than raising.
 
     Raises:
-        DegenerateTrajectory: observed window has zero variance.
-        ValueError: fewer than 4 ticks or fewer than 2 distinct values.
+        DegenerateTrajectory: the fit window has fewer than 4 ticks, or zero
+            variance (which subsumes fewer than 2 distinct values).
     """
     y = fit_window(traj)
     if len(y) < 4:
-        raise ValueError(f"trajectory too short to fit: {len(y)} ticks")
+        raise DegenerateTrajectory(f"trajectory too short to fit: {len(y)} ticks")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         # zero variance subsumes the 2-distinct-values precondition

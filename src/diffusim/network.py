@@ -46,12 +46,27 @@ class LatticeSpec:
         return self.rows * self.cols
 
 
+_LOW_WORD = 0xFFFFFFFF
+
+
+def _edge_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int64 keys of node pairs (a, b): a in the high word, b in the low
+    one, so keys sort as the pairs do lexicographically. Node indices are
+    int32, so both fit."""
+    return (a.astype(np.int64, copy=False) << 32) | b
+
+
 class SocialNetwork:
     """Immutable undirected network over lattice nodes.
 
     Stores edges canonically (smaller index first, sorted lexicographically)
     plus a CSR neighbor table for fast per-node queries. All arrays are
     read-only; rewiring produces a new instance.
+
+    Raises:
+        ValueError: edges not an (E, 2) array, an endpoint outside
+            [0, node_count), a self-loop, or an edge listed twice (in
+            either orientation).
 
     Attributes:
         node_count: number of agents.
@@ -64,23 +79,35 @@ class SocialNetwork:
 
     def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
         n = base_spec.node_count
-        edges = np.asarray(edges, dtype=np.int32)
+        edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must be an (E, 2) array")
-        # canonical storage: smaller endpoint first, rows sorted
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
+        # canonical storage: smaller endpoint first, sorted by (lo, hi)
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        order = np.lexsort((hi, lo))
-        self._edges = np.column_stack((lo[order], hi[order]))
+        if np.any(lo == hi):
+            raise ValueError("edges contain a self-loop")
+        keys = _edge_keys(lo, hi)
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("edges contain a duplicate")
+        lo, hi = keys >> 32, keys & _LOW_WORD
+        self._edges = np.empty((len(keys), 2), dtype=np.int32)
+        self._edges[:, 0] = lo
+        self._edges[:, 1] = hi
         self._edges.setflags(write=False)
 
-        directed_src = np.concatenate((self._edges[:, 0], self._edges[:, 1]))
-        directed_dst = np.concatenate((self._edges[:, 1], self._edges[:, 0]))
-        order = np.lexsort((directed_dst, directed_src))
-        self.indices = directed_dst[order]
+        # both directions keyed (src, dst); sorted, their dst values are the
+        # concatenated neighbor lists, each ascending
+        directed = np.concatenate((keys, _edge_keys(hi, lo)))
+        directed.sort()
+        directed &= _LOW_WORD
+        self.indices = directed.astype(np.int32)
         self.indices.setflags(write=False)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(directed_src, minlength=n), out=self.indptr[1:])
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
         self.indptr.setflags(write=False)
 
         self.node_count = n
@@ -104,11 +131,6 @@ class SocialNetwork:
         """Sorted neighbor indices of one node (read-only view)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
-    @property
-    def adjacency(self) -> list[np.ndarray]:
-        """Per-node neighbor sequences (read-only views)."""
-        return [self.neighbors(i) for i in range(self.node_count)]
-
     def to_csr(self) -> csr_matrix:
         data = np.ones(len(self.indices), dtype=np.int8)
         return csr_matrix(
@@ -128,7 +150,6 @@ class NetworkStats:
     unreached_pairs: int
 
 
-@lru_cache(maxsize=8)
 def _lattice_edges(rows: int, cols: int, neighborhood: Neighborhood) -> np.ndarray:
     idx = np.arange(rows * cols, dtype=np.int32).reshape(rows, cols)
     pairs = [
@@ -142,13 +163,7 @@ def _lattice_edges(rows: int, cols: int, neighborhood: Neighborhood) -> np.ndarr
         pairs.append(
             np.column_stack((idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()))  # southwest
         )
-    edges = np.concatenate(pairs)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    order = np.lexsort((hi, lo))
-    out = np.column_stack((lo[order], hi[order]))
-    out.setflags(write=False)
-    return out
+    return np.concatenate(pairs)
 
 
 @lru_cache(maxsize=8)
@@ -168,7 +183,25 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     canonical edge order. A selected edge keeps its smaller endpoint and moves
     the other to a node drawn uniformly from all nodes; draws producing a
     self-loop or duplicating an existing edge are rejected and resampled, so
-    the edge count is exactly preserved.
+    the edge count is exactly preserved (degrees are not).
+
+    Draw contract, the order in which `rng` is consumed (nothing is drawn
+    when p_r = 0):
+
+    1. `rng.random(E)`: one value per lattice edge, in canonical order; an
+       edge is selected when its value is below p_r.
+    2. `rng.integers(n)` values, one per attempt. The selected edges take
+       turns in canonical order. At its turn, an edge (u, v) draws until it
+       gets a node w != u such that (u, w) is not present. The edges present
+       then are every lattice edge except this one and the selected edges
+       before it, plus the new edges those earlier ones became. In all,
+       (selected edges + rejected draws) values are drawn.
+
+    The step-2 values are drawn in batches, `rng.integers(n, size=k)` with k
+    the number of selected edges still without a new endpoint, so no value
+    is drawn that the one-at-a-time loop would not draw. numpy's Generator
+    gives the same values and end state for one batch of k as for k scalar
+    draws; the tests check this against the scalar loop.
 
     Args:
         net: a pure lattice (rewire_prob == 0); rewiring is applied once.
@@ -182,25 +215,63 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
         raise ValueError(f"p_r must be in [0, 1], got {p_r}")
     if net.rewire_prob != 0.0:
         raise ValueError("network was already rewired; start from a pure lattice")
-    edges = np.array(net.edges, dtype=np.int64)
+    edges = net.edges.astype(np.int64)
     if p_r > 0.0:
-        n = net.node_count
         selected = np.flatnonzero(rng.random(len(edges)) < p_r)
-        keys = set((edges[:, 0] * n + edges[:, 1]).tolist())
-        for i in selected:
-            u, v = int(edges[i, 0]), int(edges[i, 1])
-            keys.discard(u * n + v)
-            while True:
-                w = int(rng.integers(n))
-                if w == u:
-                    continue
-                a, b = (u, w) if u < w else (w, u)
-                key = a * n + b
-                if key not in keys:
-                    break
-            keys.add(key)
-            edges[i, 0], edges[i, 1] = a, b
+        edges[selected, 1] = _draw_targets(edges, selected, net.node_count, rng)
     return SocialNetwork(edges, net.base_spec, rewire_prob=p_r)
+
+
+# draws are checked this many at a time, so that a rejection re-checks at
+# most one chunk rather than the whole rest of a batch
+_DRAW_CHUNK = 2048
+
+
+def _draw_targets(
+    edges: np.ndarray, selected: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """New far endpoint of each selected edge, drawn as `rewire` documents.
+
+    Equivalent to the scalar loop (draw, reject, redraw, one edge at a
+    time) but checks a chunk of draws at once: every draw before the
+    chunk's first rejection is accepted, the rejected value is dropped, and
+    checking resumes at the next value for the same edge.
+    """
+    m = len(selected)
+    keys = _edge_keys(edges[:, 0], edges[:, 1])  # sorted: edges are canonical
+    kept = edges[selected, 0]
+    # the turn at which each lattice edge is removed; m (after every turn)
+    # for edges never selected
+    removed_at = np.full(len(keys), m)
+    removed_at[selected] = np.arange(m)
+    targets = np.empty(m, dtype=np.int64)
+    added = np.empty(0, dtype=np.int64)  # sorted keys of the accepted new edges
+    turn = 0
+    while turn < m:
+        draws = rng.integers(n, size=m - turn)
+        at = 0
+        while at < len(draws):
+            w = draws[at : at + _DRAW_CHUNK]
+            turns = np.arange(turn, turn + len(w))
+            u = kept[turn : turn + len(w)]
+            cand = _edge_keys(np.minimum(u, w), np.maximum(u, w))
+            pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+            # a lattice edge is present until its own turn
+            rejected = (w == u) | ((keys[pos] == cand) & (removed_at[pos] > turns))
+            if len(added):
+                pos = np.minimum(np.searchsorted(added, cand), len(added) - 1)
+                rejected |= added[pos] == cand
+            # a repeat of an earlier candidate in this chunk
+            order = np.argsort(cand, kind="stable")
+            ranked = cand[order]
+            rejected[order[1:]] |= ranked[1:] == ranked[:-1]
+            accepted = int(np.argmax(rejected)) if rejected.any() else len(w)
+            targets[turn : turn + accepted] = w[:accepted]
+            new = np.sort(cand[:accepted])
+            added = np.insert(added, np.searchsorted(added, new), new)
+            turn += accepted
+            at += accepted + (accepted < len(w))
+    return targets
 
 
 def network_stats(

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from diffusim.bass import BassParams, bass_curve, takeoff_time
-from diffusim.calibrate import fit_bass
+from diffusim.calibrate import DegenerateTrajectory, fit_bass
 from diffusim.engine import DecisionParams, simulate
 from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
 from diffusim.seeding import Pattern, build_plan, default_innovator_count
@@ -146,9 +146,10 @@ def run_once(config: SimConfig, max_ticks: int = 500) -> SweepRecord:
     """Simulate one configuration and fit its trajectory.
 
     The run's random stream is seeded from config.seed and consumed in a
-    fixed order: rewiring, innovator placement, activation scheduling. Fit
-    failures never raise; the record carries whatever the fitter returned,
-    and saturation_tick is -1 when the run never saturated.
+    fixed order: rewiring, innovator placement, activation scheduling. A
+    trajectory that cannot be fitted raises DegenerateTrajectory; a fit that
+    stops without converging does not raise, and the record carries whatever
+    the fitter returned. saturation_tick is -1 when the run never saturated.
     """
     rng = np.random.default_rng(config.seed)
     net = build_lattice(config.lattice)
@@ -182,9 +183,9 @@ def _run_config_block(args: tuple) -> list[SweepRecord]:
         )
         try:
             records.append(run_once(seeded, max_ticks=max_ticks))
-        except ValueError:
-            # a failed run keeps its row so the sweep never aborts; NaNs
-            # mark the fit columns as unusable
+        except DegenerateTrajectory:
+            # a run that cannot be fitted keeps its row; NaNs mark the fit
+            # columns as unusable. Any other error is a fault and propagates.
             records.append(
                 SweepRecord(
                     config=seeded, p=math.nan, q=math.nan,

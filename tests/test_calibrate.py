@@ -90,7 +90,7 @@ class TestDegenerateAndInvalid:
         traj = AdoptionTrajectory(
             np.array([0.0, 0.1, 0.2]), population=10, saturated_at=None
         )
-        with pytest.raises(ValueError, match="short"):
+        with pytest.raises(DegenerateTrajectory, match="short"):
             fit_bass(traj)
 
     def test_degenerate_is_a_value_error(self):

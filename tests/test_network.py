@@ -22,6 +22,44 @@ MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
 VN_200 = LatticeSpec(200, 200, Neighborhood.VON_NEUMANN)
 
 
+def _rewire_scalar(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNetwork:
+    """Reference rewiring: one draw at a time against a set of edge keys.
+
+    The one-at-a-time form of rewire's draw contract; rewire must give the
+    same network and leave the generator in the same state.
+    """
+    edges = np.array(net.edges, dtype=np.int64)
+    if p_r > 0.0:
+        n = net.node_count
+        selected = np.flatnonzero(rng.random(len(edges)) < p_r)
+        keys = set((edges[:, 0] * n + edges[:, 1]).tolist())
+        for i in selected:
+            u, v = int(edges[i, 0]), int(edges[i, 1])
+            keys.discard(u * n + v)
+            while True:
+                w = int(rng.integers(n))
+                if w == u:
+                    continue
+                a, b = (u, w) if u < w else (w, u)
+                key = a * n + b
+                if key not in keys:
+                    break
+            keys.add(key)
+            edges[i, 0], edges[i, 1] = a, b
+    return SocialNetwork(edges, net.base_spec, rewire_prob=p_r)
+
+
+def assert_same_rewiring(base: SocialNetwork, p_r: float, seed: int) -> None:
+    fast_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    fast = rewire(base, p_r, fast_rng)
+    ref = _rewire_scalar(base, p_r, ref_rng)
+    assert np.array_equal(fast.edges, ref.edges)
+    assert np.array_equal(fast.indptr, ref.indptr)
+    assert np.array_equal(fast.indices, ref.indices)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def geometric_edge_set(rows: int, cols: int, neighborhood: Neighborhood) -> set:
     """Independent oracle: enumerate adjacent cell pairs by geometry."""
     if neighborhood is Neighborhood.MOORE:
@@ -97,6 +135,47 @@ def test_node_indexing_row_major():
     assert net.neighbors(8).tolist() == [2, 7, 9, 14]
 
 
+# --- construction from an edge list --------------------------------------------
+
+SPEC_3x3 = LatticeSpec(3, 3, Neighborhood.VON_NEUMANN)
+
+
+@pytest.mark.parametrize(
+    "edges,match",
+    [
+        ([(0, 1), (4, 4)], "self-loop"),
+        ([(0, 1), (2, 3), (0, 1)], "duplicate"),
+        ([(0, 1), (3, 2), (2, 3)], "duplicate"),
+        ([(0, 1), (2, 9)], "range"),
+        ([(0, 1), (-1, 2)], "range"),
+        ([0, 1, 2], r"\(E, 2\)"),
+    ],
+)
+def test_constructor_rejects_malformed_edges(edges, match):
+    with pytest.raises(ValueError, match=match):
+        SocialNetwork(np.array(edges), SPEC_3x3, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.sets(
+        st.tuples(st.integers(0, 19), st.integers(0, 19)).filter(lambda e: e[0] != e[1])
+        .map(lambda e: (min(e), max(e))),
+        max_size=60,
+    ),
+    flip=st.randoms(use_true_random=False),
+)
+def test_constructor_matches_set_oracle(pairs, flip):
+    spec = LatticeSpec(4, 5, Neighborhood.MOORE)
+    listed = [(b, a) if flip.random() < 0.5 else (a, b) for a, b in pairs]
+    flip.shuffle(listed)
+    net = SocialNetwork(np.array(listed, dtype=np.int64).reshape(-1, 2), spec, 0.0)
+    assert net.edges.tolist() == sorted(map(list, pairs))
+    for i in range(spec.node_count):
+        expected = sorted({b for a, b in pairs if a == i} | {a for a, b in pairs if b == i})
+        assert net.neighbors(i).tolist() == expected
+
+
 # --- rewiring ----------------------------------------------------------------
 
 def test_rewire_zero_is_identity():
@@ -149,6 +228,26 @@ def test_rewire_validation():
     once = rewire(net, 0.5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         rewire(once, 0.5, np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(2, 20),
+    cols=st.integers(2, 20),
+    p_r=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+    moore=st.booleans(),
+)
+def test_rewire_matches_scalar_reference(rows, cols, p_r, seed, moore):
+    nbhd = Neighborhood.MOORE if moore else Neighborhood.VON_NEUMANN
+    assert_same_rewiring(build_lattice(LatticeSpec(rows, cols, nbhd)), p_r, seed)
+
+
+@pytest.mark.parametrize(
+    "spec,p_r", [(MOORE_200, 0.04), (VN_200, 0.0025)], ids=["moore", "von_neumann"]
+)
+def test_rewire_matches_scalar_reference_200x200(spec, p_r):
+    assert_same_rewiring(build_lattice(spec), p_r, 20240)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,6 +360,13 @@ def test_path_length_monotone_in_rewiring():
 
 
 # --- CSV round-trip ------------------------------------------------------------
+
+def test_edge_csv_rejects_repeated_row(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst\n0,1\n1,2\n0,1\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        read_edge_csv(path, SPEC_3x3)
+
 
 def test_edge_csv_round_trip(tmp_path):
     net = rewire(build_lattice(LatticeSpec(12, 9, Neighborhood.MOORE)), 0.2,

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffusim import sweep
 from diffusim.bass import BassParams, bass_curve, takeoff_time
+from diffusim.calibrate import DegenerateTrajectory
 from diffusim.network import LatticeSpec, Neighborhood
 from diffusim.seeding import Pattern
 from diffusim.sweep import (
@@ -166,6 +168,24 @@ class TestRunSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             run_sweep([], replications=1)
+
+    def test_unfittable_run_keeps_a_nan_row(self, monkeypatch):
+        def degenerate(traj):
+            raise DegenerateTrajectory("zero variance")
+
+        monkeypatch.setattr(sweep, "fit_bass", degenerate)
+        (record,) = run_sweep([small_config()], max_ticks=300)
+        assert math.isnan(record.p) and math.isnan(record.q)
+        assert record.saturation_tick == NOT_SATURATED
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # a fault in a layer must abort the sweep, not become a NaN row
+        def broken(net, p_r, rng):
+            raise ValueError("broken rewire")
+
+        monkeypatch.setattr(sweep, "rewire", broken)
+        with pytest.raises(ValueError, match="broken rewire"):
+            run_sweep([small_config()], max_ticks=300)
 
 
 class TestMedianAggregation:
