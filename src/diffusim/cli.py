@@ -30,15 +30,14 @@ from diffusim.network import (
     network_stats,
     rewire,
 )
-from diffusim.seeding import Pattern, build_plan, default_innovator_count
+from diffusim.seeding import Pattern
 from diffusim.sweep import (
     DELTA_U_LEVELS,
     GAMMA_LEVELS,
     K_LEVELS,
     REWIRE_LEVELS,
     SIGMA_LEVELS,
-    Envelope,
-    SweepRecord,
+    SimConfig,
     TooFewPoints,
     default_grid,
     envelope,
@@ -123,16 +122,11 @@ def _parse_sigma(value) -> Pattern:
         ) from exc
 
 
-def _lattice_for_k(k: int, rows: int, cols: int) -> LatticeSpec:
-    neighborhood = Neighborhood.MOORE if k == 8 else Neighborhood.VON_NEUMANN
-    return LatticeSpec(rows, cols, neighborhood)
-
-
 def cmd_simulate(args) -> int:
     config = _load_json_config(args.config)
     rows = _take(config, "rows", 200, int, lambda v: v >= 2, "must be >= 2")
     cols = _take(config, "cols", 200, int, lambda v: v >= 2, "must be >= 2")
-    k = _take(config, "k", 8, int, lambda v: v in (4, 8), "must be 4 or 8")
+    neighborhood = _take(config, "k", 8, lambda v: Neighborhood.for_k(int(v)))
     delta_u = _take(config, "delta_u", 0.6, float, np.isfinite, "must be finite")
     alpha = _take(config, "alpha", 0.5, float, lambda v: 0 <= v <= 1,
                   "must be in [0, 1]")
@@ -146,13 +140,12 @@ def cmd_simulate(args) -> int:
     sigma = _parse_sigma(config.pop("sigma", "uniform"))
     _reject_unknown(config, "simulate")
 
-    lattice = _lattice_for_k(k, rows, cols)
-    rng = np.random.default_rng(args.seed)
-    net = build_lattice(lattice)
-    if p_r > 0:
-        net = rewire(net, p_r, rng)
-    count = default_innovator_count(lattice, fraction)
-    plan = build_plan(lattice, sigma, count, gamma, rng)
+    run = SimConfig(
+        lattice=LatticeSpec(rows, cols, neighborhood), delta_u=delta_u,
+        sigma=sigma, p_r=p_r, gamma=gamma, alpha=alpha,
+        innovator_fraction=fraction, seed=args.seed,
+    )
+    net, plan, _ = run.realize()
     traj = simulate(
         net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
         max_ticks=max_ticks,
@@ -163,7 +156,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(
         out, "simulate", args.seed,
         {
-            "config_file": args.config, "rows": rows, "cols": cols, "k": k,
+            "config_file": args.config, "rows": rows, "cols": cols, "k": run.k,
             "delta_u": delta_u, "alpha": alpha, "sigma": sigma.value,
             "p_r": p_r, "gamma": gamma, "innovator_fraction": fraction,
             "max_ticks": max_ticks,
@@ -325,22 +318,12 @@ def cmd_takeoff(args) -> int:
 
 
 def cmd_roi(args) -> int:
-    lattice = _lattice_for_k(8, args.rows, args.cols)
-
-    def record_for(p, q):
-        from diffusim.sweep import SimConfig
-        params = _bass_params(p, q)
-        takeoff = takeoff_time(params) if q > 0 else float("-inf")
-        config = SimConfig(lattice=lattice, k=8, delta_u=0.6,
-                           sigma=Pattern.UNIFORM, p_r=0.0, gamma=1000)
-        return SweepRecord(config=config, p=p, q=q, r_squared=1.0,
-                           takeoff=takeoff, saturation_tick=-1)
-
-    base = record_for(args.base_p, args.base_q)
-    boost = record_for(args.boost_p, args.boost_q)
+    population = LatticeSpec(args.rows, args.cols, Neighborhood.MOORE).node_count
+    base = _bass_params(args.base_p, args.base_q)
+    boost = _bass_params(args.boost_p, args.boost_q)
     try:
         report = roi_check(
-            base, boost, t_star=args.t_star,
+            base, boost, population, t_star=args.t_star,
             profit_per_adopter=args.profit_per_adopter,
             investment=args.investment, roi_min=args.roi_min,
         )
@@ -389,11 +372,13 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_netstats(args) -> int:
-    if args.k not in (4, 8):
-        raise ConfigError("argument --k must be 4 or 8")
+    try:
+        neighborhood = Neighborhood.for_k(args.k)
+    except ValueError as exc:
+        raise ConfigError(f"argument --k: {exc}") from exc
     if not 0 <= args.p_r <= 1:
         raise ConfigError("argument --p-r must be in [0, 1]")
-    lattice = _lattice_for_k(args.k, args.rows, args.cols)
+    lattice = LatticeSpec(args.rows, args.cols, neighborhood)
     rng = np.random.default_rng(args.seed)
     net = build_lattice(lattice)
     if args.p_r > 0:
@@ -434,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="master seed (unsigned 64-bit)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
 
     p = sub.add_parser("simulate", help="run one configured simulation")
     p.add_argument("config", help="JSON config file")
@@ -445,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid and fit every run")
     p.add_argument("config", help="JSON grid config file ({} for defaults)")
     p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 

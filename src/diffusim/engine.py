@@ -28,14 +28,6 @@ RANDOM_SEQUENTIAL = "random_sequential"
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Per-agent record: adoption is irreversible; innovators never imitate."""
-
-    adopted: bool
-    is_innovator: bool
-
-
-@dataclass(frozen=True)
 class DecisionParams:
     """Homogeneous decision weights shared by all agents.
 
@@ -255,14 +247,6 @@ def simulate(
     return AdoptionTrajectory(
         proportions=props, population=n, saturated_at=saturated_at
     )
-
-
-def agent_states(adopted: np.ndarray, innovator: np.ndarray) -> list[AgentState]:
-    """Materialize per-agent records from the mask pair used by the engine."""
-    return [
-        AgentState(adopted=bool(a), is_innovator=bool(i))
-        for a, i in zip(adopted, innovator)
-    ]
 
 
 def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:

@@ -10,7 +10,6 @@ them to uniformly random nodes, preserving the total edge count.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +22,23 @@ from scipy.sparse.csgraph import dijkstra
 class Neighborhood(enum.Enum):
     VON_NEUMANN = "von_neumann"
     MOORE = "moore"
+
+    @property
+    def k(self) -> int:
+        """Interior degree: 4 for von Neumann, 8 for Moore."""
+        return 8 if self is Neighborhood.MOORE else 4
+
+    @classmethod
+    def for_k(cls, k: int) -> Neighborhood:
+        """The neighborhood of interior degree k.
+
+        Raises:
+            ValueError: k is neither 4 nor 8.
+        """
+        for neighborhood in cls:
+            if neighborhood.k == k:
+                return neighborhood
+        raise ValueError(f"k must be 4 or 8, got {k}")
 
 
 @dataclass(frozen=True)
@@ -322,21 +338,3 @@ def network_stats(
         unreached_pairs=unreached,
     )
 
-
-def write_edge_csv(net: SocialNetwork, path) -> None:
-    """Export one undirected edge per line, smaller index first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        writer.writerows(net.edges.tolist())
-
-
-def read_edge_csv(path, base_spec: LatticeSpec, rewire_prob: float = 0.0) -> SocialNetwork:
-    """Rebuild a network from an edge-list CSV written by write_edge_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["src", "dst"]:
-            raise ValueError(f"expected header src,dst, got {header}")
-        edges = [(int(a), int(b)) for a, b in reader]
-    return SocialNetwork(np.array(edges, dtype=np.int32), base_spec, rewire_prob)

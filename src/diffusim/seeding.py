@@ -7,7 +7,6 @@ activated in blocks of gamma per tick, in randomly permuted order.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -159,20 +158,6 @@ def schedule_innovators(
     )
 
 
-def gamma_for_p(p: float, n: int) -> float:
-    """Innovator introduction rate equivalent to innovation coefficient p.
-
-    The aggregate model adds p*(1-n) new adopters per unit time from external
-    influence; over a population of n agents that is p*N innovators per tick
-    while the market is far from saturation.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if n <= 0:
-        raise ValueError(f"n must be > 0, got {n}")
-    return p * n
-
-
 def build_plan(
     spec: LatticeSpec,
     pattern: Pattern,
@@ -183,16 +168,6 @@ def build_plan(
     """Place innovators and schedule them in one step (placement first)."""
     positions = place_innovators(spec, pattern, count, rng)
     return schedule_innovators(positions, gamma, rng, pattern=pattern)
-
-
-def write_seeding_csv(plan: SeedingPlan, path) -> None:
-    """Export the plan as `node,tick` rows in activation order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "tick"])
-        writer.writerows(
-            zip(plan.positions.tolist(), plan.activation_ticks.tolist())
-        )
 
 
 def default_innovator_count(spec: LatticeSpec, fraction: float = 0.025) -> int:

@@ -22,8 +22,14 @@ import numpy as np
 from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
 from diffusim.engine import DecisionParams, simulate
-from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
-from diffusim.seeding import Pattern, build_plan, default_innovator_count
+from diffusim.network import (
+    LatticeSpec,
+    Neighborhood,
+    SocialNetwork,
+    build_lattice,
+    rewire,
+)
+from diffusim.seeding import Pattern, SeedingPlan, build_plan, default_innovator_count
 
 DELTA_U_LEVELS = (0.6, 0.8)
 SIGMA_LEVELS = (Pattern.COMPACT, Pattern.INTERMEDIATE, Pattern.UNIFORM)
@@ -55,23 +61,16 @@ class SimConfig:
     """One simulated micro-parameter combination."""
 
     lattice: LatticeSpec
-    k: int
     delta_u: float
     sigma: Pattern
     p_r: float
     gamma: int
     alpha: float = 0.5
+    innovator_fraction: float = 0.025
     seed: int = 0
     replication: int = 0
 
     def __post_init__(self) -> None:
-        expected = {4: Neighborhood.VON_NEUMANN, 8: Neighborhood.MOORE}
-        if self.k not in expected:
-            raise ValueError(f"k must be 4 or 8, got {self.k}")
-        if self.lattice.neighborhood is not expected[self.k]:
-            raise ValueError(
-                f"k={self.k} inconsistent with {self.lattice.neighborhood}"
-            )
         if not 0.0 <= self.p_r <= 1.0:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
         if self.gamma < 1:
@@ -84,6 +83,32 @@ class SimConfig:
             raise ValueError("replication must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
+        if not 0.0 < self.innovator_fraction <= 1.0:
+            raise ValueError(
+                f"innovator_fraction must be in (0, 1], got {self.innovator_fraction}"
+            )
+
+    @property
+    def k(self) -> int:
+        """Degree class, read from the lattice's neighborhood."""
+        return self.lattice.neighborhood.k
+
+    def realize(self) -> tuple[SocialNetwork, SeedingPlan, np.random.Generator]:
+        """Build this run's network and seeding plan.
+
+        The run's random stream is one generator seeded from `seed`,
+        consumed in a fixed order: rewiring (only when p_r > 0), innovator
+        placement, activation scheduling. The generator is returned in the
+        state those draws leave it, for callers that keep drawing from it
+        (random-sequential updating).
+        """
+        rng = np.random.default_rng(self.seed)
+        net = build_lattice(self.lattice)
+        if self.p_r > 0:
+            net = rewire(net, self.p_r, rng)
+        count = default_innovator_count(self.lattice, self.innovator_fraction)
+        plan = build_plan(self.lattice, self.sigma, count, self.gamma, rng)
+        return net, plan, rng
 
 
 @dataclass(frozen=True)
@@ -121,16 +146,15 @@ def default_grid(
     and introduction rate innermost. Full defaults give 360 combinations."""
     grid = []
     for k in k_levels:
-        neighborhood = Neighborhood.MOORE if k == 8 else Neighborhood.VON_NEUMANN
-        lattice = LatticeSpec(rows, cols, neighborhood)
+        lattice = LatticeSpec(rows, cols, Neighborhood.for_k(k))
         for delta_u in delta_u_levels:
             for sigma in sigma_levels:
                 for p_r in p_r_levels:
                     for gamma in gamma_levels:
                         grid.append(
                             SimConfig(
-                                lattice=lattice, k=k, delta_u=delta_u,
-                                sigma=sigma, p_r=p_r, gamma=gamma, alpha=alpha,
+                                lattice=lattice, delta_u=delta_u, sigma=sigma,
+                                p_r=p_r, gamma=gamma, alpha=alpha,
                             )
                         )
     return grid
@@ -145,18 +169,12 @@ def derive_run_seed(master_seed: int, config_index: int, replication: int) -> in
 def run_once(config: SimConfig, max_ticks: int = 500) -> SweepRecord:
     """Simulate one configuration and fit its trajectory.
 
-    The run's random stream is seeded from config.seed and consumed in a
-    fixed order: rewiring, innovator placement, activation scheduling. A
-    trajectory that cannot be fitted raises DegenerateTrajectory; a fit that
-    stops without converging does not raise, and the record carries whatever
-    the fitter returned. saturation_tick is -1 when the run never saturated.
+    The network and seeding plan come from config.realize(). A trajectory
+    that cannot be fitted raises DegenerateTrajectory; a fit that stops
+    without converging does not raise, and the record carries whatever the
+    fitter returned. saturation_tick is -1 when the run never saturated.
     """
-    rng = np.random.default_rng(config.seed)
-    net = build_lattice(config.lattice)
-    if config.p_r > 0:
-        net = rewire(net, config.p_r, rng)
-    count = default_innovator_count(config.lattice)
-    plan = build_plan(config.lattice, config.sigma, count, config.gamma, rng)
+    net, plan, _ = config.realize()
     traj = simulate(
         net, plan, DecisionParams(delta_u=config.delta_u, alpha=config.alpha),
         max_ticks=max_ticks,
@@ -355,8 +373,9 @@ class RoiReport:
 
 
 def roi_check(
-    base: SweepRecord,
-    boosted: SweepRecord,
+    base: BassParams,
+    boosted: BassParams,
+    population: int,
     t_star: float,
     profit_per_adopter: float,
     investment: float,
@@ -365,26 +384,25 @@ def roi_check(
 ) -> RoiReport:
     """Does the boosted strategy beat the baseline by more than roi_min?
 
-    Adoption levels at the evaluation time come from each record's fitted
+    Adoption levels at the evaluation time come from each strategy's
     curve. Gross gain defaults to profit_per_adopter * population * adoption
     and can be swapped for any function of the adoption level; the boosted
     side pays `investment`, the baseline pays nothing. The comparison is
     strict: a difference exactly equal to roi_min does not pass.
 
     Raises:
-        ValueError: t_star at or before either record's takeoff time.
+        ValueError: t_star at or before either strategy's takeoff time.
     """
-    t_base = takeoff_time(BassParams(base.p, base.q))
-    t_boost = takeoff_time(BassParams(boosted.p, boosted.q))
+    t_base = takeoff_time(base)
+    t_boost = takeoff_time(boosted)
     if t_star <= max(t_base, t_boost):
         raise ValueError(
             f"t_star={t_star} must exceed both takeoff times "
             f"({t_base:.6g}, {t_boost:.6g})"
         )
-    n_base = float(bass_curve(BassParams(base.p, base.q), t_star))
-    n_boost = float(bass_curve(BassParams(boosted.p, boosted.q), t_star))
+    n_base = float(bass_curve(base, t_star))
+    n_boost = float(bass_curve(boosted, t_star))
     if gain is None:
-        population = base.config.lattice.node_count
         gain = lambda n: profit_per_adopter * population * n  # noqa: E731
     g_base = gain(n_base)
     g_boost = gain(n_boost) - investment
@@ -423,11 +441,8 @@ def read_sweep_csv(path, rows: int = 200, cols: int = 200) -> list[SweepRecord]:
         if reader.fieldnames != SWEEP_CSV_HEADER:
             raise ValueError(f"unexpected sweep CSV header: {reader.fieldnames}")
         for row in reader:
-            k = int(row["k"])
-            neighborhood = Neighborhood.MOORE if k == 8 else Neighborhood.VON_NEUMANN
             config = SimConfig(
-                lattice=LatticeSpec(rows, cols, neighborhood),
-                k=k,
+                lattice=LatticeSpec(rows, cols, Neighborhood.for_k(int(row["k"]))),
                 delta_u=float(row["delta_u"]),
                 sigma=Pattern(row["sigma"]),
                 p_r=float(row["p_r"]),

@@ -6,6 +6,7 @@ of a measured shortfall rather than a crash. The grid-wide checks share one
 5-replication sweep (fixed master seed) between them.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -26,8 +27,8 @@ from diffusim.engine import (
     adoption_threshold,
     simulate,
 )
-from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
-from diffusim.seeding import Pattern, build_plan, default_innovator_count
+from diffusim.network import LatticeSpec, Neighborhood
+from diffusim.seeding import Pattern
 from diffusim.sweep import (
     GAMMA_LEVELS,
     NOT_SATURATED,
@@ -189,27 +190,17 @@ def _designated_configs(cell):
         i for i, c in enumerate(grid)
         if (c.k, c.delta_u, c.sigma.value, c.p_r, c.gamma) == cell
     )
-    base = grid[index]
-    configs = []
-    for rep in range(REPLICATIONS):
-        seed = derive_run_seed(MASTER_SEED, index, rep)
-        configs.append(
-            SimConfig(
-                lattice=base.lattice, k=base.k, delta_u=base.delta_u,
-                sigma=base.sigma, p_r=base.p_r, gamma=base.gamma,
-                alpha=base.alpha, seed=seed, replication=rep,
-            )
+    return [
+        dataclasses.replace(
+            grid[index], seed=derive_run_seed(MASTER_SEED, index, rep),
+            replication=rep,
         )
-    return configs
+        for rep in range(REPLICATIONS)
+    ]
 
 
 def _run_trajectory(config, update):
-    rng = np.random.default_rng(config.seed)
-    net = build_lattice(config.lattice)
-    if config.p_r > 0:
-        net = rewire(net, config.p_r, rng)
-    count = default_innovator_count(config.lattice)
-    plan = build_plan(config.lattice, config.sigma, count, config.gamma, rng)
+    net, plan, rng = config.realize()
     return simulate(
         net, plan, DecisionParams(delta_u=config.delta_u, alpha=config.alpha),
         max_ticks=500, rng=rng, update=update,
@@ -360,7 +351,7 @@ def test_reference_envelope_geometry(reference_grid):
     records = [
         SweepRecord(
             config=SimConfig(
-                lattice=lattice, k=8, delta_u=0.6, sigma=Pattern.COMPACT,
+                lattice=lattice, delta_u=0.6, sigma=Pattern.COMPACT,
                 p_r=row.p_r, gamma=row.gamma,
             ),
             p=row.p, q=row.q, r_squared=row.r_squared,

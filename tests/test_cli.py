@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from diffusim.calibrate import fit_bass, read_trajectory_csv
 from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from diffusim.seeding import Pattern
+from diffusim.sweep import default_grid, run_sweep
 
 SMALL_GRID = {
     "rows": 40,
@@ -156,6 +159,29 @@ def test_simulate_different_seed_changes_output(tmp_path, capsys):
     run_cli(capsys, "simulate", config, "--seed", "5", "--out", str(a))
     run_cli(capsys, "simulate", config, "--seed", "6", "--out", str(b))
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_simulate_reproduces_a_sweep_row(tmp_path, capsys):
+    # both entry points realize a run the same way, so a sweep row replays
+    # from its fields and its recorded seed
+    grid = default_grid(
+        rows=30, cols=30, k_levels=[8], delta_u_levels=[0.6],
+        sigma_levels=[Pattern.UNIFORM], p_r_levels=[0.04], gamma_levels=[9],
+    )
+    (row,) = run_sweep(grid, master_seed=3, max_ticks=300)
+    assert row.saturation_tick > 0
+    config = write_json(tmp_path / "sim.json", {
+        "rows": 30, "cols": 30, "k": 8, "delta_u": 0.6, "sigma": "uniform",
+        "p_r": 0.04, "gamma": 9, "max_ticks": 300,
+    })
+    out = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, "simulate", config,
+                         "--seed", str(row.config.seed), "--out", str(out))
+    assert code == EXIT_OK
+    traj = read_trajectory_csv(out)
+    fit = fit_bass(traj)
+    assert traj.saturated_at == row.saturation_tick
+    assert (fit.params.p, fit.params.q) == (row.p, row.q)
 
 
 def test_simulate_rejects_out_of_range_key(tmp_path, capsys):

@@ -10,7 +10,6 @@ from diffusim.engine import (
     AdoptionTrajectory,
     DecisionParams,
     adoption_threshold,
-    agent_states,
     delta_utility,
     simulate,
     write_trajectory_csv,
@@ -265,12 +264,6 @@ class TestThresholdEquivalence:
                 assert current[agent] == expected, (t, agent)
             prev = current
 
-    def test_agent_states_materialization(self):
-        adopted = np.array([True, False, True])
-        innov = np.array([True, False, False])
-        records = agent_states(adopted, innov)
-        assert [r.adopted for r in records] == [True, False, True]
-        assert [r.is_innovator for r in records] == [True, False, False]
 
 
 class TestRandomSequentialMode:

@@ -13,9 +13,7 @@ from diffusim.network import (
     SocialNetwork,
     build_lattice,
     network_stats,
-    read_edge_csv,
     rewire,
-    write_edge_csv,
 )
 
 MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
@@ -84,6 +82,19 @@ def test_spec_rejects_degenerate_lattice():
         LatticeSpec(1, 5, Neighborhood.MOORE)
     with pytest.raises(ValueError):
         LatticeSpec(5, 1, Neighborhood.VON_NEUMANN)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_neighborhood_for_k_is_the_interior_degree(k):
+    neighborhood = Neighborhood.for_k(k)
+    assert neighborhood.k == k
+    assert len(build_lattice(LatticeSpec(3, 3, neighborhood)).neighbors(4)) == k
+
+
+def test_neighborhood_for_k_rejects_other_degrees():
+    for k in (0, 6, 24):
+        with pytest.raises(ValueError, match="k must be 4 or 8"):
+            Neighborhood.for_k(k)
 
 
 def test_3x3_moore_degrees():
@@ -357,23 +368,3 @@ def test_path_length_monotone_in_rewiring():
             lengths.append(st_.mean_path_length)
         medians.append(float(np.median(lengths)))
     assert all(a >= b for a, b in zip(medians, medians[1:])), medians
-
-
-# --- CSV round-trip ------------------------------------------------------------
-
-def test_edge_csv_rejects_repeated_row(tmp_path):
-    path = tmp_path / "edges.csv"
-    path.write_text("src,dst\n0,1\n1,2\n0,1\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        read_edge_csv(path, SPEC_3x3)
-
-
-def test_edge_csv_round_trip(tmp_path):
-    net = rewire(build_lattice(LatticeSpec(12, 9, Neighborhood.MOORE)), 0.2,
-                 np.random.default_rng(4))
-    path = tmp_path / "edges.csv"
-    write_edge_csv(net, path)
-    back = read_edge_csv(path, net.base_spec, net.rewire_prob)
-    assert np.array_equal(back.edges, net.edges)
-    header = path.read_text().splitlines()[0]
-    assert header == "src,dst"

@@ -13,10 +13,8 @@ from diffusim.seeding import (
     SeedingPlan,
     build_plan,
     default_innovator_count,
-    gamma_for_p,
     place_innovators,
     schedule_innovators,
-    write_seeding_csv,
 )
 
 SPEC_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
@@ -165,33 +163,6 @@ def test_schedule_properties(total, gamma, seed):
     assert plan.last_tick == -(-total // gamma)
 
 
-# --- gamma_for_p -------------------------------------------------------------------
-
-def test_gamma_for_p_values():
-    assert gamma_for_p(0.025, 40_000) == pytest.approx(1000)
-    assert gamma_for_p(0.003, 40_000) == pytest.approx(120)
-
-
-def test_gamma_for_p_rejects_boundary():
-    with pytest.raises(ValueError):
-        gamma_for_p(0.0, 40_000)
-    with pytest.raises(ValueError):
-        gamma_for_p(0.01, 0)
-
-
 def test_default_innovator_count():
     assert default_innovator_count(SPEC_200) == 1000
     assert default_innovator_count(LatticeSpec(40, 40, Neighborhood.MOORE)) == 40
-
-
-# --- CSV ---------------------------------------------------------------------------
-
-def test_seeding_csv_export(tmp_path):
-    plan = build_plan(SPEC_200, Pattern.UNIFORM, 10, 4, np.random.default_rng(3))
-    path = tmp_path / "seeds.csv"
-    write_seeding_csv(plan, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node,tick"
-    assert len(lines) == 11
-    ticks = [int(line.split(",")[1]) for line in lines[1:]]
-    assert ticks == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3]

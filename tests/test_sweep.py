@@ -39,12 +39,11 @@ from diffusim.sweep import (
 )
 
 MOORE_30 = LatticeSpec(30, 30, Neighborhood.MOORE)
-VN_30 = LatticeSpec(30, 30, Neighborhood.VON_NEUMANN)
 
 
 def small_config(**overrides) -> SimConfig:
     base = dict(
-        lattice=MOORE_30, k=8, delta_u=0.6, sigma=Pattern.UNIFORM,
+        lattice=MOORE_30, delta_u=0.6, sigma=Pattern.UNIFORM,
         p_r=0.01, gamma=10, seed=99,
     )
     base.update(overrides)
@@ -52,13 +51,8 @@ def small_config(**overrides) -> SimConfig:
 
 
 def record_from_reference(row) -> SweepRecord:
-    lattice = (
-        LatticeSpec(200, 200, Neighborhood.MOORE)
-        if row.k == 8
-        else LatticeSpec(200, 200, Neighborhood.VON_NEUMANN)
-    )
     config = SimConfig(
-        lattice=lattice, k=row.k, delta_u=row.delta_u,
+        lattice=LatticeSpec(200, 200, Neighborhood.for_k(row.k)), delta_u=row.delta_u,
         sigma=Pattern(row.sigma.lower()), p_r=row.p_r, gamma=row.gamma,
     )
     return SweepRecord(
@@ -93,12 +87,9 @@ class TestDefaultGrid:
 
 class TestSimConfigValidation:
     def test_rejects_bad_degree_class(self):
+        # the degree class is the lattice's; k=6 has no neighborhood
         with pytest.raises(ValueError, match="k must be"):
-            small_config(k=6)
-
-    def test_rejects_mismatched_lattice(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            small_config(lattice=VN_30, k=8)
+            small_config(lattice=LatticeSpec(30, 30, Neighborhood.for_k(6)))
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="p_r"):
@@ -338,13 +329,12 @@ class TestNearestMicro:
 
 
 class TestRoiCheck:
-    def base_record(self, p=0.02, q=0.4):
-        return SweepRecord(small_config(), p, q, 0.999, 4.0, 25)
+    population = MOORE_30.node_count
 
     def test_identical_records_zero_margin_is_false(self):
-        base = self.base_record()
+        base = BassParams(0.02, 0.4)
         report = roi_check(
-            base, base, t_star=10.0, profit_per_adopter=1.0,
+            base, base, self.population, t_star=10.0, profit_per_adopter=1.0,
             investment=0.0, roi_min=0.0,
         )
         assert not report
@@ -363,12 +353,11 @@ class TestRoiCheck:
             else:
                 hi = mid
         q_boost = (lo + hi) / 2
-        base = self.base_record(p, q)
-        boost = self.base_record(p, q_boost)
-        population = base.config.lattice.node_count
+        base = BassParams(p, q)
+        boost = BassParams(p, q_boost)
         report = roi_check(
-            base, boost, t_star=t_star,
-            profit_per_adopter=1000.0 / population,
+            base, boost, self.population, t_star=t_star,
+            profit_per_adopter=1000.0 / self.population,
             investment=150.0, roi_min=0.0,
         )
         assert report.exceeds
@@ -377,11 +366,11 @@ class TestRoiCheck:
         assert report.gain_boosted == pytest.approx(550.0, abs=1e-6)
 
     def test_rejects_t_star_before_takeoff(self):
-        base = self.base_record()
-        takeoff = takeoff_time(BassParams(base.p, base.q))
+        base = BassParams(0.02, 0.4)
+        takeoff = takeoff_time(base)
         with pytest.raises(ValueError, match="takeoff"):
             roi_check(
-                base, base, t_star=takeoff, profit_per_adopter=1.0,
+                base, base, self.population, t_star=takeoff, profit_per_adopter=1.0,
                 investment=0.0, roi_min=0.0,
             )
 
@@ -394,19 +383,19 @@ class TestRoiCheck:
             if (row.k, row.delta_u, row.sigma, row.p_r) == (8, 0.6, "uniform", 0.0)
         }
         assert set(rows) == set(GAMMA_LEVELS)
-        base = record_from_reference(rows[125])
-        boost = record_from_reference(rows[1000])
+        base = BassParams(rows[125].p, rows[125].q)
+        boost = BassParams(rows[1000].p, rows[1000].q)
         report = roi_check(
-            base, boost, t_star=9.0, profit_per_adopter=1.0,
+            base, boost, 200 * 200, t_star=9.0, profit_per_adopter=1.0,
             investment=0.0, roi_min=0.0,
         )
         assert report.adoption_boosted > report.adoption_base
         assert report.exceeds
 
     def test_injectable_gain(self):
-        base = self.base_record()
+        base = BassParams(0.02, 0.4)
         report = roi_check(
-            base, base, t_star=10.0, profit_per_adopter=0.0,
+            base, base, self.population, t_star=10.0, profit_per_adopter=0.0,
             investment=0.0, roi_min=-1.0, gain=lambda n: 42.0,
         )
         assert report.gain_base == 42.0
@@ -415,7 +404,7 @@ class TestRoiCheck:
 
 class TestCsvRoundTrips:
     def test_sweep_csv_roundtrip(self, tmp_path):
-        grid = [small_config(lattice=MOORE_30, k=8, gamma=9)]
+        grid = [small_config(lattice=MOORE_30, gamma=9)]
         records = run_sweep(grid, replications=2, master_seed=1, max_ticks=300)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(records, path)
