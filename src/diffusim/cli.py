@@ -42,6 +42,7 @@ from diffusim.sweep import (
     default_grid,
     envelope,
     locate,
+    manifest_path,
     read_empirical_csv,
     read_sweep_csv,
     roi_check,
@@ -74,8 +75,7 @@ def _write_manifest(primary_output: Path, command: str, seed: int | None,
         "parameters": parameters,
         "outputs": outputs,
     }
-    path = Path(str(primary_output) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path(primary_output).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_json_config(path: str) -> dict:
@@ -110,6 +110,20 @@ def _reject_unknown(config: dict, context: str) -> None:
     if config:
         names = ", ".join(sorted(config))
         raise ConfigError(f"unknown {context} config keys: {names}")
+
+
+def _is_degree_class(k: int) -> bool:
+    try:
+        Neighborhood.for_k(k)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_lattice_args(args) -> None:
+    for name, value in (("--rows", args.rows), ("--cols", args.cols)):
+        if value < 2:
+            raise ConfigError(f"argument {name} must be >= 2")
 
 
 def _parse_sigma(value) -> Pattern:
@@ -194,8 +208,8 @@ def cmd_sweep(args) -> int:
                   "must be in [0, 1]")
     max_ticks = _take(config, "max_ticks", 500, int, lambda v: v >= 1,
                       "must be >= 1")
-    k_levels = _levels(config, "k_levels", K_LEVELS, int,
-                       lambda v: v in (4, 8), "must be 4 or 8")
+    k_levels = _levels(config, "k_levels", K_LEVELS, int, _is_degree_class,
+                       "must be 4 or 8")
     du_levels = _levels(config, "delta_u_levels", DELTA_U_LEVELS, float,
                         np.isfinite, "must be finite")
     pr_levels = _levels(config, "p_r_levels", REWIRE_LEVELS, float,
@@ -318,6 +332,7 @@ def cmd_takeoff(args) -> int:
 
 
 def cmd_roi(args) -> int:
+    _check_lattice_args(args)
     population = LatticeSpec(args.rows, args.cols, Neighborhood.MOORE).node_count
     base = _bass_params(args.base_p, args.base_q)
     boost = _bass_params(args.boost_p, args.boost_q)
@@ -341,7 +356,7 @@ def cmd_envelope(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"malformed sweep CSV {args.sweep_csv}: {exc}")
     sigma = _parse_sigma(args.sigma)
-    if args.k not in (4, 8):
+    if not _is_degree_class(args.k):
         raise ConfigError("argument --k must be 4 or 8")
     try:
         env = envelope(records, (args.k, args.delta_u, sigma))
@@ -378,6 +393,7 @@ def cmd_netstats(args) -> int:
         raise ConfigError(f"argument --k: {exc}") from exc
     if not 0 <= args.p_r <= 1:
         raise ConfigError("argument --p-r must be in [0, 1]")
+    _check_lattice_args(args)
     lattice = LatticeSpec(args.rows, args.cols, neighborhood)
     rng = np.random.default_rng(args.seed)
     net = build_lattice(lattice)

@@ -7,9 +7,12 @@ private utility difference and adopts iff
     delta_U = alpha * (2 v+ - 1) + (1 - alpha) * delta_u > 0.
 
 Updates are synchronous by default: all decisions in tick t read the adoption
-state as of the end of tick t-1. A random-sequential mode (decisions applied
-immediately in random agent order) is available as a sensitivity check; it is
-never the default.
+state as of the end of tick t-1. A random-sequential mode is available as a
+sensitivity check; it is never the default. Its contract: after the tick's
+seeds activate, one `rng.permutation` is drawn over the eligible agents (in
+index order); an agent adopts iff its adopter-neighbor count at its turn
+reaches its threshold, so adoptions count for later-ranked agents in the
+same tick.
 """
 
 from __future__ import annotations
@@ -131,6 +134,60 @@ def _gather_neighbors(net: SocialNetwork, nodes: np.ndarray) -> np.ndarray:
     return net.indices[idx]
 
 
+def _random_sequential_pass(
+    net: SocialNetwork,
+    thresholds: np.ndarray,
+    counts: np.ndarray,
+    eligible: np.ndarray,
+    adopted: np.ndarray,
+    rng: np.random.Generator,
+) -> int:
+    """One tick's decisions in rng-permuted order, applied immediately.
+
+    Gives what visiting the eligible agents one by one, in the order of one
+    `rng.permutation(len(candidates))`, and adopting each whose count has
+    reached its threshold at its turn gives, but computed in waves. In that
+    loop an agent adopts iff its start-of-tick count plus the number of its
+    neighbors that adopt earlier in the order reaches its threshold. The
+    definition refers only to earlier-ranked agents, so it has exactly one
+    solution. `seen` holds each agent's start count plus its earlier-ranked
+    neighbors found to adopt so far. Wave 0 is the agents ready at the start
+    of the tick; each later wave is the still-eligible agents whose `seen`
+    has just reached their threshold. Only adopters are counted, so every
+    wave member belongs to the solution. By induction on rank every member
+    of the solution joins a wave: it is ready at the start, or it joins the
+    wave after the one holding the last of its earlier-ranked adopter
+    neighbors. So the waves stop exactly at the solution. `counts` gains
+    every adopter's neighbors, as the loop's increments leave it at the end
+    of the tick.
+
+    Updates `counts`, `eligible` and `adopted` in place; returns the number
+    of agents that adopted.
+    """
+    n = net.node_count
+    candidates = np.flatnonzero(eligible)
+    rank = np.full(n, n, dtype=np.int64)  # agents not deciding rank last
+    rank[candidates[rng.permutation(len(candidates))]] = np.arange(len(candidates))
+    seen = counts.copy()
+    wave = np.flatnonzero(eligible & (counts >= thresholds))
+    touched_by_wave = []
+    total = 0
+    while len(wave):
+        adopted[wave] = True
+        eligible[wave] = False
+        total += len(wave)
+        touched = _gather_neighbors(net, wave)
+        touched_by_wave.append(touched)
+        degrees = net.indptr[wave + 1] - net.indptr[wave]
+        later = touched[rank[touched] > np.repeat(rank[wave], degrees)]
+        np.add.at(seen, later, 1)
+        later = later[eligible[later]]
+        wave = np.unique(later[seen[later] >= thresholds[later]])
+    if touched_by_wave:
+        counts += np.bincount(np.concatenate(touched_by_wave), minlength=n)
+    return total
+
+
 def simulate(
     net: SocialNetwork,
     plan: SeedingPlan,
@@ -154,8 +211,11 @@ def simulate(
         params: shared decision weights.
         max_ticks: hard tick cap; must cover the seeding schedule.
         rng: required only for the random-sequential update mode.
-        update: SYNCHRONOUS (default) or RANDOM_SEQUENTIAL (sensitivity mode;
-            decisions are applied immediately in rng-permuted agent order).
+        update: SYNCHRONOUS (default) or RANDOM_SEQUENTIAL (sensitivity
+            mode: each tick, after the seeds, one rng.permutation over the
+            eligible agents orders the decisions; an agent adopts iff its
+            adopter-neighbor count at its turn reaches its threshold, and
+            its adoption counts for later-ranked agents in the same tick).
         on_tick: optional callback (tick, adopted_mask, innovator_mask) with
             read-only views, called after each tick is recorded.
 
@@ -214,14 +274,9 @@ def simulate(
             if len(seeds):
                 touched = _gather_neighbors(net, seeds.astype(np.int64))
                 counts += np.bincount(touched, minlength=n)
-            # immediate-update pass in random order over remaining agents
-            candidates = np.flatnonzero(eligible)
-            for agent in candidates[rng.permutation(len(candidates))]:
-                if counts[agent] >= thresholds[agent]:
-                    adopted[agent] = True
-                    eligible[agent] = False
-                    counts[net.neighbors(int(agent))] += 1
-                    adopted_total += 1
+            adopted_total += _random_sequential_pass(
+                net, thresholds, counts, eligible, adopted, rng
+            )
 
         delta = adopted_total - round(proportions[-1] * n)
         assert delta >= 0, "adoption must be irreversible"

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -432,9 +434,28 @@ def write_sweep_csv(records: Iterable[SweepRecord], path) -> None:
             ])
 
 
-def read_sweep_csv(path, rows: int = 200, cols: int = 200) -> list[SweepRecord]:
-    """Load sweep records; lattice geometry is not serialized, so the
-    default experiment size is assumed unless overridden."""
+def manifest_path(primary_output) -> Path:
+    """The sibling manifest written next to a command's primary output."""
+    return Path(str(primary_output) + ".manifest.json")
+
+
+def read_sweep_csv(
+    path, rows: int | None = None, cols: int | None = None
+) -> list[SweepRecord]:
+    """Load sweep records.
+
+    The CSV does not hold the lattice size. Sizes not given are read from
+    the sibling manifest's `rows` and `cols` parameters when that file
+    exists, and are otherwise the default 200x200.
+
+    Raises:
+        ValueError: the header is not the pinned one, a row is malformed,
+            or the manifest records no lattice size.
+    """
+    if rows is None or cols is None:
+        recorded_rows, recorded_cols = _recorded_lattice_size(path)
+        rows = recorded_rows if rows is None else rows
+        cols = recorded_cols if cols is None else cols
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -461,6 +482,19 @@ def read_sweep_csv(path, rows: int = 200, cols: int = 200) -> list[SweepRecord]:
                 )
             )
     return records
+
+
+def _recorded_lattice_size(path) -> tuple[int, int]:
+    manifest = manifest_path(path)
+    if not manifest.exists():
+        return 200, 200
+    try:
+        parameters = json.loads(manifest.read_text())["parameters"]
+        return int(parameters["rows"]), int(parameters["cols"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"cannot read the lattice size from {manifest}: {exc!r}"
+        ) from exc
 
 
 def write_envelope_csv(env: Envelope, path) -> None:

@@ -9,7 +9,7 @@ import pytest
 from diffusim.calibrate import fit_bass, read_trajectory_csv
 from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from diffusim.seeding import Pattern
-from diffusim.sweep import default_grid, run_sweep
+from diffusim.sweep import default_grid, read_sweep_csv, run_sweep
 
 SMALL_GRID = {
     "rows": 40,
@@ -239,6 +239,20 @@ def test_sweep_restricted_grid(tmp_path, capsys):
     assert len(manifest["outputs"]) == 2
 
 
+def test_sweep_csv_reads_back_its_lattice_size(tmp_path, capsys):
+    # the CSV does not hold the lattice size; its manifest does
+    config = write_json(tmp_path / "grid.json", {
+        **SMALL_GRID, "rows": 30, "cols": 30, "p_r_levels": [0.04],
+        "gamma_levels": [20],
+    })
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "sweep", config, "--out", str(out))
+    assert code == EXIT_OK
+    records = read_sweep_csv(out / "sweep.csv")
+    assert len(records) == 1
+    assert (records[0].config.lattice.rows, records[0].config.lattice.cols) == (30, 30)
+
+
 def test_sweep_jobs_do_not_change_bytes(tmp_path, capsys):
     config = write_json(tmp_path / "grid.json", SMALL_GRID)
     serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -371,6 +385,18 @@ def test_roi_rejects_t_star_before_takeoff(capsys):
     assert "t_star" in err
 
 
+def test_roi_rejects_too_small_lattice(capsys):
+    code, _, err = run_cli(
+        capsys, "roi",
+        "--base-p", "0.01", "--base-q", "0.35",
+        "--boost-p", "0.01", "--boost-q", "0.45",
+        "--t-star", "15", "--profit-per-adopter", "2.5",
+        "--investment", "0", "--rows", "1",
+    )
+    assert code == EXIT_CONFIG
+    assert "--rows" in err
+
+
 # ---- netstats ----
 
 
@@ -402,6 +428,12 @@ def test_netstats_rejects_bad_rewire_probability(capsys):
     code, _, err = run_cli(capsys, "netstats", "--p-r", "1.5")
     assert code == EXIT_CONFIG
     assert "p-r" in err
+
+
+def test_netstats_rejects_too_small_lattice(capsys):
+    code, _, err = run_cli(capsys, "netstats", "--cols", "1")
+    assert code == EXIT_CONFIG
+    assert "--cols" in err
 
 
 def test_netstats_writes_file_with_manifest(tmp_path, capsys):

@@ -1,14 +1,19 @@
 """Threshold-adoption dynamics: decision rule, tick loop, trajectories."""
 
+import copy
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusim.engine import (
     RANDOM_SEQUENTIAL,
     AdoptionTrajectory,
     DecisionParams,
+    _gather_neighbors,
+    _thresholds_by_node,
     adoption_threshold,
     delta_utility,
     simulate,
@@ -16,9 +21,99 @@ from diffusim.engine import (
 )
 from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
 from diffusim.seeding import Pattern, SeedingPlan, build_plan, schedule_innovators
+from diffusim.sweep import SimConfig
 
 MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
 VN_200 = LatticeSpec(200, 200, Neighborhood.VON_NEUMANN)
+
+
+def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None):
+    """Reference random-sequential run: one agent at a time in permuted order.
+
+    The per-agent form of simulate's random-sequential contract; simulate
+    must give the same trajectory, the same per-tick adoption states and
+    leave the generator in the same state.
+    """
+    n = net.node_count
+    thresholds = _thresholds_by_node(net, params)
+    adopted = np.zeros(n, dtype=bool)
+    innovator = np.zeros(n, dtype=bool)
+    innovator[plan.positions] = True
+    eligible = ~innovator
+    counts = np.zeros(n, dtype=np.int64)  # adopter neighbors, kept incrementally
+
+    # innovator activations grouped by tick
+    by_tick: dict[int, np.ndarray] = {}
+    for tick in np.unique(plan.activation_ticks):
+        by_tick[int(tick)] = np.asarray(plan.positions)[plan.activation_ticks == tick]
+
+    proportions = [0.0]
+    adopted_total = 0
+    saturated_at = None
+    zero_change_streak = 0
+
+    for t in range(1, max_ticks + 1):
+        seeds = by_tick.get(t, np.empty(0, dtype=np.int64))
+
+        adopted[seeds] = True
+        adopted_total += len(seeds)
+        if len(seeds):
+            touched = _gather_neighbors(net, seeds.astype(np.int64))
+            counts += np.bincount(touched, minlength=n)
+        # immediate-update pass in random order over remaining agents
+        candidates = np.flatnonzero(eligible)
+        for agent in candidates[rng.permutation(len(candidates))]:
+            if counts[agent] >= thresholds[agent]:
+                adopted[agent] = True
+                eligible[agent] = False
+                counts[net.neighbors(int(agent))] += 1
+                adopted_total += 1
+
+        delta = adopted_total - round(proportions[-1] * n)
+        assert delta >= 0, "adoption must be irreversible"
+        proportions.append(adopted_total / n)
+
+        if on_tick is not None:
+            a_view = adopted.view()
+            a_view.setflags(write=False)
+            i_view = innovator.view()
+            i_view.setflags(write=False)
+            on_tick(t, a_view, i_view)
+
+        if adopted_total == n:
+            saturated_at = t
+            break
+        if t >= plan.last_tick:
+            zero_change_streak = zero_change_streak + 1 if delta == 0 else 0
+            if zero_change_streak >= 2:
+                break
+
+    props = np.asarray(proportions)
+    props.setflags(write=False)
+    return AdoptionTrajectory(
+        proportions=props, population=n, saturated_at=saturated_at
+    )
+
+
+def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
+    """simulate(update=RANDOM_SEQUENTIAL) against the per-agent reference,
+    each drawing from its own copy of `rng`."""
+    fast_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    fast_states, ref_states = [], []
+    fast = simulate(
+        net, plan, params, max_ticks, rng=fast_rng, update=RANDOM_SEQUENTIAL,
+        on_tick=lambda t, adopted, innov: fast_states.append(adopted.copy()),
+    )
+    ref = _simulate_sequential_scalar(
+        net, plan, params, max_ticks, ref_rng,
+        on_tick=lambda t, adopted, innov: ref_states.append(adopted.copy()),
+    )
+    assert np.array_equal(fast.proportions, ref.proportions)
+    assert fast.saturated_at == ref.saturated_at
+    assert len(fast_states) == len(ref_states)
+    for a, b in zip(fast_states, ref_states):
+        assert np.array_equal(a, b)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def empty_plan() -> SeedingPlan:
@@ -303,6 +398,52 @@ class TestRandomSequentialMode:
                 net, plan, DecisionParams(delta_u=0.6), max_ticks=10,
                 update=RANDOM_SEQUENTIAL,
             )
+
+
+class TestRandomSequentialOracle:
+    # delta_u 1.2 adopts spontaneously (threshold 0) and -1.0 never adopts
+    # (threshold above the degree) at any alpha below 1
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(2, 20),
+        cols=st.integers(2, 20),
+        neighborhood=st.sampled_from(list(Neighborhood)),
+        p_r=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        delta_u=st.sampled_from([-1.0, -0.3, 0.0, 0.3, 0.6, 0.8, 1.2]),
+        alpha=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+        innovator_share=st.floats(0.0, 1.0),
+        gamma=st.integers(1, 400),
+    )
+    def test_matches_per_agent_loop(
+        self, rows, cols, neighborhood, p_r, delta_u, alpha, seed,
+        innovator_share, gamma,
+    ):
+        spec = LatticeSpec(rows, cols, neighborhood)
+        rng = np.random.default_rng(seed)
+        net = build_lattice(spec)
+        if p_r > 0:
+            net = rewire(net, p_r, rng)
+        count = round(innovator_share * spec.node_count)
+        plan = (
+            build_plan(spec, Pattern.UNIFORM, count, gamma, rng)
+            if count else empty_plan()
+        )
+        assert_same_sequential_run(
+            net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
+            max_ticks=plan.last_tick + 60, rng=rng,
+        )
+
+    def test_matches_per_agent_loop_on_designated_cell(self):
+        # a designated cell of the sensitivity rerun, at full size
+        config = SimConfig(
+            lattice=VN_200, delta_u=0.8, sigma=Pattern.UNIFORM, p_r=0.04,
+            gamma=125, seed=2012,
+        )
+        net, plan, rng = config.realize()
+        assert_same_sequential_run(
+            net, plan, DecisionParams(delta_u=0.8), max_ticks=500, rng=rng
+        )
 
 
 class TestValidation:

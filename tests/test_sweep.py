@@ -413,6 +413,13 @@ class TestCsvRoundTrips:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(SWEEP_CSV_HEADER)
 
+    def test_sweep_csv_manifest_without_lattice_size(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([], path)
+        (tmp_path / "sweep.csv.manifest.json").write_text('{"parameters": {}}')
+        with pytest.raises(ValueError, match="lattice size"):
+            read_sweep_csv(path)
+
     def test_sweep_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
