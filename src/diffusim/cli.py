@@ -349,15 +349,15 @@ def cmd_roi(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    sigma = _parse_sigma(args.sigma)
+    if not _is_degree_class(args.k):
+        raise ConfigError("argument --k must be 4 or 8")
     try:
         records = read_sweep_csv(args.sweep_csv)
     except OSError as exc:
         raise ConfigError(f"cannot read sweep CSV {args.sweep_csv}: {exc}")
     except ValueError as exc:
         raise ConfigError(f"malformed sweep CSV {args.sweep_csv}: {exc}")
-    sigma = _parse_sigma(args.sigma)
-    if not _is_degree_class(args.k):
-        raise ConfigError("argument --k must be 4 or 8")
     try:
         env = envelope(records, (args.k, args.delta_u, sigma))
     except TooFewPoints as exc:

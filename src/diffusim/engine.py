@@ -105,19 +105,15 @@ def adoption_threshold(neighbor_count: int, params: DecisionParams) -> int:
 
 
 def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarray:
-    """Per-node adopter-neighbor threshold; isolated nodes can only adopt
-    spontaneously (their v+ is taken as 0)."""
+    """Per-node adopter-neighbor threshold, looked up in a table indexed by
+    degree; isolated nodes can only adopt spontaneously (their v+ is taken
+    as 0)."""
     degrees = net.degrees
-    n = net.node_count
-    out = np.empty(n, dtype=np.int64)
-    for d in np.unique(degrees):
-        d = int(d)
-        if d == 0:
-            thr = 0 if delta_utility(0.0, params) > 0.0 else n + 1
-        else:
-            thr = adoption_threshold(d, params)
-        out[degrees == d] = thr
-    return out
+    isolated = 0 if delta_utility(0.0, params) > 0.0 else net.node_count + 1
+    table = [isolated] + [
+        adoption_threshold(d, params) for d in range(1, degrees.max(initial=0) + 1)
+    ]
+    return np.asarray(table, dtype=np.int64)[degrees]
 
 
 def _gather_neighbors(net: SocialNetwork, nodes: np.ndarray) -> np.ndarray:
@@ -207,7 +203,8 @@ def simulate(
 
     Args:
         net: the social network.
-        plan: innovator positions and activation ticks.
+        plan: innovators in activation order; tick t activates
+            plan.seeds_at(t).
         params: shared decision weights.
         max_ticks: hard tick cap; must cover the seeding schedule.
         rng: required only for the random-sequential update mode.
@@ -244,18 +241,13 @@ def simulate(
     eligible = ~innovator
     counts = np.zeros(n, dtype=np.int64)  # adopter neighbors, kept incrementally
 
-    # innovator activations grouped by tick
-    by_tick: dict[int, np.ndarray] = {}
-    for tick in np.unique(plan.activation_ticks):
-        by_tick[int(tick)] = np.asarray(plan.positions)[plan.activation_ticks == tick]
-
     proportions = [0.0]
     adopted_total = 0
     saturated_at = None
     zero_change_streak = 0
 
     for t in range(1, max_ticks + 1):
-        seeds = by_tick.get(t, np.empty(0, dtype=np.int64))
+        seeds = plan.seeds_at(t)
 
         if update == SYNCHRONOUS:
             # decisions read start-of-tick state: counts not yet including

@@ -147,13 +147,6 @@ class SocialNetwork:
         """Sorted neighbor indices of one node (read-only view)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
-    def to_csr(self) -> csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.int8)
-        return csr_matrix(
-            (data, self.indices, self.indptr),
-            shape=(self.node_count, self.node_count),
-        )
-
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -307,7 +300,10 @@ def network_stats(
     n = net.node_count
     mean_degree = 2.0 * net.edge_count / n
 
-    adj = net.to_csr()
+    adj = csr_matrix(
+        (np.ones(len(net.indices), dtype=np.int8), net.indices, net.indptr),
+        shape=(n, n),
+    )
     # triangles per node: (A @ A) restricted to existing edges counts, for
     # each i, paths i->j->k with k adjacent to i; each triangle twice
     paths2 = (adj @ adj).multiply(adj)

@@ -27,39 +27,29 @@ class Pattern(enum.Enum):
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
 
-    positions[i] activates at activation_ticks[i]; ticks start at 1 and grow
-    in blocks of rate_gamma.
+    `positions` is in activation order: innovators activate in blocks of
+    `gamma` per tick, the block for tick t = 1, 2, ... being
+    positions[(t-1)*gamma : t*gamma]; the final block may be partial.
     """
 
-    pattern: Pattern | None
-    total_innovators: int
-    rate_gamma: int
     positions: np.ndarray
-    activation_ticks: np.ndarray
+    gamma: int
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions)
-        ticks = np.asarray(self.activation_ticks)
-        if len(pos) != self.total_innovators or len(ticks) != len(pos):
-            raise ValueError("positions/activation_ticks length mismatch")
-        if self.total_innovators < 0:
-            raise ValueError("total_innovators must be non-negative")
-        if self.rate_gamma < 1:
-            raise ValueError(f"rate_gamma must be >= 1, got {self.rate_gamma}")
-        if len(np.unique(pos)) != len(pos):
+        if self.gamma < 1:
+            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if len(np.unique(self.positions)) != len(self.positions):
             raise ValueError("innovator positions must be distinct")
-        if np.any(np.diff(ticks) < 0):
-            raise ValueError("activation_ticks must be non-decreasing")
-        if len(ticks) and np.max(np.bincount(ticks)) > self.rate_gamma:
-            raise ValueError("more than rate_gamma activations share a tick")
 
     @property
     def last_tick(self) -> int:
-        """Tick of the final activation block: ceil(total / gamma); 0 when
-        the plan is empty."""
-        if self.total_innovators == 0:
-            return 0
-        return int(self.activation_ticks[-1])
+        """Tick of the final activation block: ceil(len(positions) / gamma);
+        0 when the plan is empty."""
+        return -(-len(self.positions) // self.gamma)
+
+    def seeds_at(self, tick: int) -> np.ndarray:
+        """Innovators activating at `tick` (>= 1); empty after last_tick."""
+        return self.positions[(tick - 1) * self.gamma : tick * self.gamma]
 
 
 @lru_cache(maxsize=32)
@@ -136,26 +126,13 @@ def schedule_innovators(
     positions: np.ndarray,
     gamma: int,
     rng: np.random.Generator,
-    pattern: Pattern | None = None,
 ) -> SeedingPlan:
-    """Randomly permute positions and assign them to ticks in blocks of gamma.
+    """Randomly permute positions into activation order, gamma per tick.
 
-    Blocks fill ticks 1, 2, ...; the final block may be partial. The pattern
-    tag is carried through for provenance when known.
+    Draws one `rng.permutation(len(positions))`.
     """
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
     positions = np.asarray(positions)
-    total = len(positions)
-    permuted = positions[rng.permutation(total)]
-    ticks = 1 + np.arange(total, dtype=np.int64) // int(gamma)
-    return SeedingPlan(
-        pattern=pattern,
-        total_innovators=total,
-        rate_gamma=int(gamma),
-        positions=permuted,
-        activation_ticks=ticks,
-    )
+    return SeedingPlan(positions[rng.permutation(len(positions))], int(gamma))
 
 
 def build_plan(
@@ -167,7 +144,7 @@ def build_plan(
 ) -> SeedingPlan:
     """Place innovators and schedule them in one step (placement first)."""
     positions = place_innovators(spec, pattern, count, rng)
-    return schedule_innovators(positions, gamma, rng, pattern=pattern)
+    return schedule_innovators(positions, gamma, rng)
 
 
 def default_innovator_count(spec: LatticeSpec, fraction: float = 0.025) -> int:

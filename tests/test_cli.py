@@ -351,6 +351,21 @@ def test_envelope_malformed_sweep_csv(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "k,sigma,named",
+    [("6", "compact", "--k"), ("8", "clustered", "sigma")],
+)
+def test_envelope_checks_arguments_before_reading(tmp_path, capsys, k, sigma,
+                                                  named):
+    # the sweep CSV does not exist, so only an argument check can name the
+    # bad argument
+    code, _, err = run_cli(capsys, "envelope", str(tmp_path / "missing.csv"),
+                           "--k", k, "--delta-u", "0.6", "--sigma", sigma)
+    assert code == EXIT_CONFIG
+    assert named in err
+    assert "sweep CSV" not in err
+
+
 # ---- roi ----
 
 

@@ -19,7 +19,13 @@ from diffusim.engine import (
     simulate,
     write_trajectory_csv,
 )
-from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
+from diffusim.network import (
+    LatticeSpec,
+    Neighborhood,
+    SocialNetwork,
+    build_lattice,
+    rewire,
+)
 from diffusim.seeding import Pattern, SeedingPlan, build_plan, schedule_innovators
 from diffusim.sweep import SimConfig
 
@@ -42,10 +48,12 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
     eligible = ~innovator
     counts = np.zeros(n, dtype=np.int64)  # adopter neighbors, kept incrementally
 
-    # innovator activations grouped by tick
+    # innovator activations grouped by tick: positions[i] at 1 + i // gamma
+    activation_ticks = 1 + np.arange(len(plan.positions)) // plan.gamma
+    last_tick = int(activation_ticks.max(initial=0))
     by_tick: dict[int, np.ndarray] = {}
-    for tick in np.unique(plan.activation_ticks):
-        by_tick[int(tick)] = np.asarray(plan.positions)[plan.activation_ticks == tick]
+    for tick in np.unique(activation_ticks):
+        by_tick[int(tick)] = np.asarray(plan.positions)[activation_ticks == tick]
 
     proportions = [0.0]
     adopted_total = 0
@@ -83,7 +91,7 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
         if adopted_total == n:
             saturated_at = t
             break
-        if t >= plan.last_tick:
+        if t >= last_tick:
             zero_change_streak = zero_change_streak + 1 if delta == 0 else 0
             if zero_change_streak >= 2:
                 break
@@ -117,13 +125,7 @@ def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
 
 
 def empty_plan() -> SeedingPlan:
-    return SeedingPlan(
-        pattern=None,
-        total_innovators=0,
-        rate_gamma=1,
-        positions=np.empty(0, dtype=np.int64),
-        activation_ticks=np.empty(0, dtype=np.int64),
-    )
+    return SeedingPlan(positions=np.empty(0, dtype=np.int64), gamma=1)
 
 
 class TestDeltaUtility:
@@ -340,8 +342,8 @@ class TestThresholdEquivalence:
             on_tick=lambda t, adopted, innov: states.append((t, adopted.copy())),
         )
         seeded_at = {}
-        for node, tick in zip(plan.positions.tolist(), plan.activation_ticks.tolist()):
-            seeded_at.setdefault(int(tick), set()).add(int(node))
+        for i, node in enumerate(plan.positions.tolist()):
+            seeded_at.setdefault(1 + i // plan.gamma, set()).add(int(node))
         innovators = set(plan.positions.tolist())
 
         prev = np.zeros(net.node_count, dtype=bool)
@@ -359,6 +361,51 @@ class TestThresholdEquivalence:
                 assert current[agent] == expected, (t, agent)
             prev = current
 
+
+class TestThresholdTable:
+    @staticmethod
+    def assert_thresholds_by_degree(net, params):
+        thresholds = _thresholds_by_node(net, params)
+        assert thresholds.dtype == np.int64
+        for node, degree in enumerate(net.degrees.tolist()):
+            if degree == 0:  # v+ taken as 0: spontaneous or never
+                spontaneous = delta_utility(0.0, params) > 0.0
+                expected = 0 if spontaneous else net.node_count + 1
+            else:
+                expected = adoption_threshold(degree, params)
+            assert thresholds[node] == expected, (node, degree)
+
+    # delta_u 1.2 adopts spontaneously (threshold 0) and -1.0 never adopts
+    # (threshold above the degree) at any alpha below 1
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(2, 12),
+        neighborhood=st.sampled_from(list(Neighborhood)),
+        p_r=st.sampled_from([0.3, 1.0]),
+        delta_u=st.sampled_from([-1.0, -0.3, 0.0, 0.6, 0.8, 1.0, 1.2]),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_threshold_of_each_degree_on_rewired_lattices(
+        self, rows, cols, neighborhood, p_r, delta_u, alpha, seed,
+    ):
+        spec = LatticeSpec(rows, cols, neighborhood)
+        net = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
+        self.assert_thresholds_by_degree(
+            net, DecisionParams(delta_u=delta_u, alpha=alpha)
+        )
+
+    @pytest.mark.parametrize("delta_u", [0.6, 1.2])
+    def test_isolated_nodes(self, delta_u):
+        # nodes 3, 4 and 5 have no edges; node 1 has degree 2
+        net = SocialNetwork(
+            np.array([[0, 1], [1, 2]]), LatticeSpec(2, 3, Neighborhood.VON_NEUMANN), 0.0
+        )
+        params = DecisionParams(delta_u=delta_u)
+        self.assert_thresholds_by_degree(net, params)
+        expected_isolated = 0 if delta_u > 1.0 else net.node_count + 1
+        assert _thresholds_by_node(net, params)[3:].tolist() == [expected_isolated] * 3
 
 
 class TestRandomSequentialMode:

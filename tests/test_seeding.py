@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim.network import LatticeSpec, Neighborhood
@@ -112,20 +114,21 @@ def test_count_bounds():
 
 def test_schedule_blocks_of_250():
     plan = build_plan(SPEC_200, Pattern.UNIFORM, 1000, 250, np.random.default_rng(1))
-    counts = np.bincount(plan.activation_ticks)[1:]
-    assert counts.tolist() == [250, 250, 250, 250]
+    assert [len(plan.seeds_at(t)) for t in range(1, 6)] == [250, 250, 250, 250, 0]
     assert plan.last_tick == 4
 
 
 def test_schedule_single_block():
     plan = build_plan(SPEC_200, Pattern.COMPACT, 1000, 1000, np.random.default_rng(1))
     assert plan.last_tick == 1
-    assert np.all(plan.activation_ticks == 1)
+    assert np.array_equal(plan.seeds_at(1), plan.positions)
 
 
 def test_schedule_partial_final_block():
     plan = schedule_innovators(np.arange(7), 3, np.random.default_rng(0))
-    assert plan.activation_ticks.tolist() == [1, 1, 1, 2, 2, 2, 3]
+    blocks = [plan.seeds_at(t).tolist() for t in range(1, 5)]
+    assert [len(block) for block in blocks] == [3, 3, 1, 0]
+    assert sum(blocks, []) == plan.positions.tolist()
     assert plan.last_tick == 3
 
 
@@ -137,30 +140,32 @@ def test_schedule_permutes_positions():
 
 
 def test_plan_invariants_rejected():
-    with pytest.raises(ValueError):
-        SeedingPlan(None, 3, 2, np.array([1, 1, 2]), np.array([1, 1, 2]))
-    with pytest.raises(ValueError):
-        SeedingPlan(None, 2, 1, np.array([1, 2]), np.array([2, 1]))
-    with pytest.raises(ValueError):
-        SeedingPlan(None, 3, 1, np.array([1, 2, 3]), np.array([1, 1, 2]))
+    with pytest.raises(ValueError, match="distinct"):
+        SeedingPlan(np.array([1, 1, 2]), 2)
+    with pytest.raises(ValueError, match="gamma"):
+        SeedingPlan(np.array([1, 2]), 0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    total=st.integers(1, 400),
+    total=st.integers(0, 400),
     gamma=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(total=0, gamma=1, seed=0)
 def test_schedule_properties(total, gamma, seed):
     rng = np.random.default_rng(seed)
     positions = rng.choice(10_000, size=total, replace=False)
-    plan = schedule_innovators(positions, gamma, rng)
-    assert plan.total_innovators == total
-    assert len(set(plan.positions.tolist())) == total
-    counts = np.bincount(plan.activation_ticks)[1:]
-    assert all(c == gamma for c in counts[:-1])
-    assert 1 <= counts[-1] <= gamma
+    plan = schedule_innovators(positions, gamma, copy.deepcopy(rng))
+    # activation order is one permutation drawn from the run's stream
+    assert np.array_equal(plan.positions, positions[rng.permutation(total)])
     assert plan.last_tick == -(-total // gamma)
+    blocks = [plan.seeds_at(t) for t in range(1, plan.last_tick + 2)]
+    assert len(blocks[-1]) == 0
+    assert np.array_equal(np.concatenate(blocks), plan.positions)
+    sizes = [len(block) for block in blocks[:-1]]
+    assert all(size == gamma for size in sizes[:-1])
+    assert all(1 <= size <= gamma for size in sizes[-1:])
 
 
 def test_default_innovator_count():
