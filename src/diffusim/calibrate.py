@@ -65,12 +65,17 @@ class FitResult:
         )
 
 
-def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
-    """Closed-form curve n(t) = p(1-E)/(p+qE), E = exp(-(p+q)t), with its
-    partial derivatives wrt p and q."""
+def _curve(p: float, q: float, t: np.ndarray):
+    """Closed-form curve n(t) = p(1-E)/(p+qE), E = exp(-(p+q)t); returns
+    (n, E)."""
     e = np.exp(-(p + q) * t)
+    return p * (1.0 - e) / (p + q * e), e
+
+
+def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
+    """The curve of `_curve` with its partial derivatives wrt p and q."""
+    n, e = _curve(p, q, t)
     denom = p + q * e
-    n = p * (1.0 - e) / denom
     te = t * e
     # d/dp [p(1-E)] = (1-E) + p t E ; d/dp denom = 1 - q t E
     dn_dp = ((1.0 - e) + p * te) / denom - p * (1.0 - e) * (1.0 - q * te) / denom**2
@@ -122,7 +127,7 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
     p, q = _clip(p0, q0)
 
     def sse(pv: float, qv: float) -> float:
-        resid = y - _curve_and_jacobian(pv, qv, t)[0]
+        resid = y - _curve(pv, qv, t)[0]
         return float(resid @ resid)
 
     current = sse(p, q)

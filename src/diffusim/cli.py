@@ -126,14 +126,14 @@ def _check_lattice_args(args) -> None:
             raise ConfigError(f"argument {name} must be >= 2")
 
 
-def _parse_sigma(value) -> Pattern:
+def _parse_sigma(value, source: str) -> Pattern:
+    """The pattern named by `value`; `source` names where it came from in
+    the error, e.g. "config key 'sigma'" or "argument --sigma"."""
     try:
         return Pattern(str(value).lower())
     except ValueError as exc:
         names = ", ".join(p.value for p in Pattern)
-        raise ConfigError(
-            f"config key 'sigma' must be one of {names}, got {value!r}"
-        ) from exc
+        raise ConfigError(f"{source} must be one of {names}, got {value!r}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
                      lambda v: 0 < v <= 1, "must be in (0, 1]")
     max_ticks = _take(config, "max_ticks", 500, int, lambda v: v >= 1,
                       "must be >= 1")
-    sigma = _parse_sigma(config.pop("sigma", "uniform"))
+    sigma = _parse_sigma(config.pop("sigma", "uniform"), "config key 'sigma'")
     _reject_unknown(config, "simulate")
 
     run = SimConfig(
@@ -219,7 +219,7 @@ def cmd_sweep(args) -> int:
     sigma_raw = config.pop("sigma_levels", [p.value for p in SIGMA_LEVELS])
     if not isinstance(sigma_raw, list) or not sigma_raw:
         raise ConfigError("config key 'sigma_levels' must be a non-empty list")
-    sigma_levels = [_parse_sigma(s) for s in sigma_raw]
+    sigma_levels = [_parse_sigma(s, "config key 'sigma_levels'") for s in sigma_raw]
     _reject_unknown(config, "sweep")
 
     grid = default_grid(
@@ -349,7 +349,7 @@ def cmd_roi(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    sigma = _parse_sigma(args.sigma)
+    sigma = _parse_sigma(args.sigma, "argument --sigma")
     if not _is_degree_class(args.k):
         raise ConfigError("argument --k must be 4 or 8")
     try:

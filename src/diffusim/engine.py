@@ -165,6 +165,7 @@ def _random_sequential_pass(
     rank = np.full(n, n, dtype=np.int64)  # agents not deciding rank last
     rank[candidates[rng.permutation(len(candidates))]] = np.arange(len(candidates))
     seen = counts.copy()
+    slot = np.empty(n, dtype=np.int64)  # scratch for the wave dedupe
     wave = np.flatnonzero(eligible & (counts >= thresholds))
     touched_by_wave = []
     total = 0
@@ -177,8 +178,12 @@ def _random_sequential_pass(
         degrees = net.indptr[wave + 1] - net.indptr[wave]
         later = touched[rank[touched] > np.repeat(rank[wave], degrees)]
         np.add.at(seen, later, 1)
-        later = later[eligible[later]]
-        wave = np.unique(later[seen[later] >= thresholds[later]])
+        ready = later[eligible[later] & (seen[later] >= thresholds[later])]
+        # dedupe in O(wave): of the entries naming one agent, exactly one
+        # reads back its own stamp; the waves' order does not matter
+        stamp = np.arange(len(ready))
+        slot[ready] = stamp
+        wave = ready[slot[ready] == stamp]
     if touched_by_wave:
         counts += np.bincount(np.concatenate(touched_by_wave), minlength=n)
     return total

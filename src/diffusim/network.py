@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -75,8 +75,8 @@ def _edge_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SocialNetwork:
     """Immutable undirected network over lattice nodes.
 
-    Stores edges canonically (smaller index first, sorted lexicographically)
-    plus a CSR neighbor table for fast per-node queries. All arrays are
+    The stored form is a CSR neighbor table (`indptr`, `indices`); the
+    canonical edge list is derived from it on first use. All arrays are
     read-only; rewiring produces a new instance.
 
     Raises:
@@ -100,44 +100,55 @@ class SocialNetwork:
             raise ValueError("edges must be an (E, 2) array")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError(f"edge endpoint out of range [0, {n})")
-        # canonical storage: smaller endpoint first, sorted by (lo, hi)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        if np.any(lo == hi):
+        if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("edges contain a self-loop")
-        keys = _edge_keys(lo, hi)
-        keys.sort()
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("edges contain a duplicate")
-        lo, hi = keys >> 32, keys & _LOW_WORD
-        self._edges = np.empty((len(keys), 2), dtype=np.int32)
-        self._edges[:, 0] = lo
-        self._edges[:, 1] = hi
-        self._edges.setflags(write=False)
-
         # both directions keyed (src, dst); sorted, their dst values are the
-        # concatenated neighbor lists, each ascending
-        directed = np.concatenate((keys, _edge_keys(hi, lo)))
+        # concatenated neighbor lists, each ascending. An edge listed twice,
+        # in either orientation, shows as two equal adjacent keys.
+        directed = np.concatenate(
+            (_edge_keys(edges[:, 0], edges[:, 1]), _edge_keys(edges[:, 1], edges[:, 0]))
+        )
         directed.sort()
-        directed &= _LOW_WORD
-        self.indices = directed.astype(np.int32)
-        self.indices.setflags(write=False)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
-        self.indptr.setflags(write=False)
+        if np.any(directed[1:] == directed[:-1]):
+            raise ValueError("edges contain a duplicate")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
+        indices = (directed & _LOW_WORD).astype(np.int32)
+        self._set_csr(indptr, indices, base_spec, rewire_prob)
 
-        self.node_count = n
+    @classmethod
+    def _from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, base_spec: LatticeSpec,
+        rewire_prob: float,
+    ) -> SocialNetwork:
+        """A network from a CSR table that is valid by construction: symmetric,
+        each row sorted, no self-loop or repeat. Nothing is checked."""
+        net = cls.__new__(cls)
+        net._set_csr(indptr, indices, base_spec, rewire_prob)
+        return net
+
+    def _set_csr(self, indptr, indices, base_spec, rewire_prob) -> None:
+        self.indptr = indptr
+        self.indices = indices
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+        self.node_count = base_spec.node_count
         self.base_spec = base_spec
         self.rewire_prob = float(rewire_prob)
 
     @property
     def edge_count(self) -> int:
-        return self._edges.shape[0]
+        return len(self.indices) // 2
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        """(E, 2) array, smaller index first, lexicographically sorted."""
-        return self._edges
+        """(E, 2) array, smaller index first, lexicographically sorted: the
+        CSR entries with src < dst, read in CSR order."""
+        src = self._sources()
+        upper = src < self.indices
+        edges = np.column_stack((src[upper], self.indices[upper]))
+        edges.setflags(write=False)
+        return edges
 
     @property
     def degrees(self) -> np.ndarray:
@@ -146,6 +157,27 @@ class SocialNetwork:
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor indices of one node (read-only view)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
+
+    def _sources(self) -> np.ndarray:
+        """The source node of each CSR entry."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees)
+
+    @cached_property
+    def _directed_keys(self) -> np.ndarray:
+        """Sorted int64 keys (src, dst) of the CSR entries. Like `_keys`, it
+        is computed only by `rewire`, so only a lattice that is rewired
+        holds it."""
+        keys = _edge_keys(self._sources(), self.indices)
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Sorted int64 keys (lo, hi) of the canonical edges."""
+        keys = self._directed_keys
+        keys = keys[(keys >> 32) < (keys & _LOW_WORD)]
+        keys.setflags(write=False)
+        return keys
 
 
 @dataclass(frozen=True)
@@ -212,6 +244,12 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     gives the same values and end state for one batch of k as for k scalar
     draws; the tests check this against the scalar loop.
 
+    The result is spliced into the lattice's CSR table rather than built by
+    sorting every edge again: the 2m directed entries of the m moved edges
+    are deleted, their 2m replacements inserted at their sorted positions,
+    and `indptr` shifted by the degree changes. The lattice's sorted key
+    arrays, which locate both, are computed once and cached with it.
+
     Args:
         net: a pure lattice (rewire_prob == 0); rewiring is applied once.
         p_r: rewiring probability in [0, 1].
@@ -224,11 +262,30 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
         raise ValueError(f"p_r must be in [0, 1], got {p_r}")
     if net.rewire_prob != 0.0:
         raise ValueError("network was already rewired; start from a pure lattice")
-    edges = net.edges.astype(np.int64)
+    n = net.node_count
+    keys = net._keys
+    selected = np.empty(0, dtype=np.intp)
     if p_r > 0.0:
-        selected = np.flatnonzero(rng.random(len(edges)) < p_r)
-        edges[selected, 1] = _draw_targets(edges, selected, net.node_count, rng)
-    return SocialNetwork(edges, net.base_spec, rewire_prob=p_r)
+        selected = np.flatnonzero(rng.random(len(keys)) < p_r)
+    u, v = keys[selected] >> 32, keys[selected] & _LOW_WORD
+    w = _draw_targets(keys, u, selected, n, rng)
+
+    directed = net._directed_keys
+    gone = np.concatenate((_edge_keys(u, v), _edge_keys(v, u)))
+    gone.sort()
+    gone = np.searchsorted(directed, gone)
+    new = np.concatenate((_edge_keys(u, w), _edge_keys(w, u)))
+    new.sort()
+    # where each new entry goes once the gone ones are out; a new edge equal
+    # to a removed lattice edge lands where that edge was
+    at = np.searchsorted(directed, new)
+    at -= np.searchsorted(gone, at)
+    indices = np.insert(
+        np.delete(net.indices, gone), at, (new & _LOW_WORD).astype(np.int32)
+    )
+    indptr = net.indptr.copy()
+    indptr[1:] += np.cumsum(np.bincount(w, minlength=n) - np.bincount(v, minlength=n))
+    return SocialNetwork._from_csr(indptr, indices, net.base_spec, p_r)
 
 
 # draws are checked this many at a time, so that a rejection re-checks at
@@ -237,18 +294,19 @@ _DRAW_CHUNK = 2048
 
 
 def _draw_targets(
-    edges: np.ndarray, selected: np.ndarray, n: int, rng: np.random.Generator
+    keys: np.ndarray, kept: np.ndarray, selected: np.ndarray, n: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """New far endpoint of each selected edge, drawn as `rewire` documents.
 
-    Equivalent to the scalar loop (draw, reject, redraw, one edge at a
-    time) but checks a chunk of draws at once: every draw before the
-    chunk's first rejection is accepted, the rejected value is dropped, and
-    checking resumes at the next value for the same edge.
+    `keys` are the lattice's sorted canonical edge keys, `selected` the
+    positions of the selected edges in them and `kept` their smaller
+    endpoints. Equivalent to the scalar loop (draw, reject, redraw, one
+    edge at a time) but checks a chunk of draws at once: every draw before
+    the chunk's first rejection is accepted, the rejected value is dropped,
+    and checking resumes at the next value for the same edge.
     """
     m = len(selected)
-    keys = _edge_keys(edges[:, 0], edges[:, 1])  # sorted: edges are canonical
-    kept = edges[selected, 0]
     # the turn at which each lattice edge is removed; m (after every turn)
     # for edges never selected
     removed_at = np.full(len(keys), m)
@@ -261,19 +319,21 @@ def _draw_targets(
         at = 0
         while at < len(draws):
             w = draws[at : at + _DRAW_CHUNK]
-            turns = np.arange(turn, turn + len(w))
             u = kept[turn : turn + len(w)]
             cand = _edge_keys(np.minimum(u, w), np.maximum(u, w))
-            pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
-            # a lattice edge is present until its own turn
-            rejected = (w == u) | ((keys[pos] == cand) & (removed_at[pos] > turns))
-            if len(added):
-                pos = np.minimum(np.searchsorted(added, cand), len(added) - 1)
-                rejected |= added[pos] == cand
-            # a repeat of an earlier candidate in this chunk
+            # checked in sorted order, which keeps the searches local
             order = np.argsort(cand, kind="stable")
             ranked = cand[order]
-            rejected[order[1:]] |= ranked[1:] == ranked[:-1]
+            pos = np.minimum(np.searchsorted(keys, ranked), len(keys) - 1)
+            # a lattice edge is present until its own turn
+            present = (keys[pos] == ranked) & (removed_at[pos] > turn + order)
+            if len(added):
+                pos = np.minimum(np.searchsorted(added, ranked), len(added) - 1)
+                present |= added[pos] == ranked
+            # a repeat of an earlier candidate in this chunk
+            present[1:] |= ranked[1:] == ranked[:-1]
+            rejected = w == u
+            rejected[order] |= present
             accepted = int(np.argmax(rejected)) if rejected.any() else len(w)
             targets[turn : turn + accepted] = w[:accepted]
             new = np.sort(cand[:accepted])

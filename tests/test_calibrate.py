@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusim.bass import BassParams, bass_curve
 from diffusim.calibrate import (
     DegenerateTrajectory,
     FitResult,
+    _curve,
+    _curve_and_jacobian,
     fit_bass,
     fit_window,
     jacobian_check,
@@ -78,6 +82,24 @@ class TestJacobian:
         dp, dq = jacobian_check(BassParams(0.02, 0.4), 0.0)
         assert dp == pytest.approx(0.0, abs=1e-9)
         assert dq == pytest.approx(0.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1e-6, 1.0),
+    q=st.floats(0.0, 1.0),
+    ticks=st.integers(1, 301),
+)
+def test_trial_point_curve_is_bit_identical(p, q, ticks):
+    # the fit's trial points read only the curve; it must be the same bits
+    # as the curve the Jacobian step is taken from, and as the expression
+    # the Jacobian path has always evaluated
+    t = np.arange(ticks, dtype=float)
+    n = _curve(p, q, t)[0]
+    assert n.tobytes() == _curve_and_jacobian(p, q, t)[0].tobytes()
+    e = np.exp(-(p + q) * t)
+    denom = p + q * e
+    assert n.tobytes() == (p * (1.0 - e) / denom).tobytes()
 
 
 class TestDegenerateAndInvalid:

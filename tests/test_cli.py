@@ -287,6 +287,14 @@ def test_sweep_rejects_bad_sigma_level(tmp_path, capsys):
     assert "sigma" in err
 
 
+def test_sweep_bad_sigma_level_names_the_key(tmp_path, capsys):
+    config = write_json(tmp_path / "grid.json",
+                        {**SMALL_GRID, "sigma_levels": ["clustered"]})
+    code, _, err = run_cli(capsys, "sweep", str(config))
+    assert code == EXIT_CONFIG
+    assert "config key 'sigma_levels' must be one of" in err
+
+
 # ---- envelope ----
 
 
@@ -364,6 +372,15 @@ def test_envelope_checks_arguments_before_reading(tmp_path, capsys, k, sigma,
     assert code == EXIT_CONFIG
     assert named in err
     assert "sweep CSV" not in err
+
+
+def test_envelope_bad_sigma_names_the_argument(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "envelope", str(tmp_path / "x.csv"),
+                           "--k", "8", "--delta-u", "0.6",
+                           "--sigma", "clustered")
+    assert code == EXIT_CONFIG
+    assert "argument --sigma must be one of" in err
+    assert "config key" not in err
 
 
 # ---- roi ----

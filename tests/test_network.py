@@ -187,6 +187,24 @@ def test_constructor_matches_set_oracle(pairs, flip):
         assert net.neighbors(i).tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 41), st.integers(0, 41)).filter(lambda e: e[0] != e[1]),
+        max_size=120,
+        unique_by=lambda e: (min(e), max(e)),
+    ),
+)
+def test_derived_edges_are_the_sorted_canonical_input(pairs):
+    spec = LatticeSpec(6, 7, Neighborhood.VON_NEUMANN)
+    net = SocialNetwork(np.array(pairs, dtype=np.int64).reshape(-1, 2), spec, 0.0)
+    expected = sorted((min(a, b), max(a, b)) for a, b in pairs)
+    assert net.edges.shape == (len(pairs), 2)
+    assert list(map(tuple, net.edges.tolist())) == expected
+    assert net.edge_count == len(pairs)
+    assert not net.edges.flags.writeable
+
+
 # --- rewiring ----------------------------------------------------------------
 
 def test_rewire_zero_is_identity():
@@ -259,6 +277,41 @@ def test_rewire_matches_scalar_reference(rows, cols, p_r, seed, moore):
 )
 def test_rewire_matches_scalar_reference_200x200(spec, p_r):
     assert_same_rewiring(build_lattice(spec), p_r, 20240)
+
+
+@pytest.mark.parametrize("p_r", [0.0025, 0.005, 0.01, 0.02, 0.04])
+def test_rewire_matches_scalar_reference_200x200_moore_grid_levels(p_r):
+    assert_same_rewiring(build_lattice(MOORE_200), p_r, 7)
+
+
+def test_rewire_can_recreate_a_removed_lattice_edge():
+    # on K4 (the 2x2 Moore lattice) every other node is already a neighbor,
+    # so each selected edge can only draw its own far endpoint back
+    base = build_lattice(LatticeSpec(2, 2, Neighborhood.MOORE))
+    out = rewire(base, 1.0, np.random.default_rng(3))
+    assert np.array_equal(out.edges, base.edges)
+    assert np.array_equal(out.indptr, base.indptr)
+    assert np.array_equal(out.indices, base.indices)
+    assert_same_rewiring(base, 1.0, 3)
+
+
+def test_rewire_never_writes_into_the_cached_lattice():
+    base = build_lattice(LatticeSpec(30, 30, Neighborhood.MOORE))
+    before = [base.indptr.copy(), base.indices.copy(), base.edges.copy()]
+    outs = [rewire(base, p_r, np.random.default_rng(seed))
+            for seed, p_r in enumerate([0.0, 0.04, 0.3, 1.0, 0.04])]
+    assert build_lattice(LatticeSpec(30, 30, Neighborhood.MOORE)) is base
+    for array, copy in zip([base.indptr, base.indices, base.edges], before):
+        assert np.array_equal(array, copy)
+        assert not array.flags.writeable
+    for out in outs:
+        for array in (out.indptr, out.indices, out.edges):
+            assert not array.flags.writeable
+    # the lattice still rewires to what a fresh copy of it does
+    fresh = SocialNetwork(np.array(before[2]), base.base_spec, 0.0)
+    a = rewire(base, 0.04, np.random.default_rng(99))
+    b = rewire(fresh, 0.04, np.random.default_rng(99))
+    assert np.array_equal(a.indices, b.indices)
 
 
 @settings(max_examples=40, deadline=None)
