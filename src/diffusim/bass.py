@@ -42,6 +42,13 @@ class BassParams:
             raise ValueError(f"q must be >= 0, got {self.q}")
 
 
+def _curve(p: float, q: float, t: np.ndarray):
+    """Closed-form curve n(t) = p(1-E)/(p+qE), E = exp(-(p+q)t), unchecked;
+    returns (n, E). bass_curve and the fit both evaluate it here."""
+    e = np.exp(-(p + q) * t)
+    return p * (1.0 - e) / (p + q * e), e
+
+
 def bass_curve(params: BassParams, t):
     """Cumulative adoption proportion at time t.
 
@@ -58,8 +65,7 @@ def bass_curve(params: BassParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    e = np.exp(-(params.p + params.q) * t_arr)
-    n = params.p * (1.0 - e) / (params.p + params.q * e)
+    n, _ = _curve(params.p, params.q, t_arr)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(n)
     return n

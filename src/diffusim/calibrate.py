@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffusim.bass import BassParams, bass_curve
+from diffusim.bass import BassParams, _curve, bass_curve
 from diffusim.engine import AdoptionTrajectory
 
 P_MIN, P_MAX = 1e-6, 1.0
 Q_MIN, Q_MAX = 0.0, 1.0
 STEP_TOL = 1e-10
 MAX_ITERATIONS = 500
+MAX_DAMPING = 1e12
 
 
 class DegenerateTrajectory(ValueError):
@@ -36,8 +37,7 @@ class FitResult:
 
     at_bound flags whether each fitted coefficient landed on its box bound
     (p on [1e-6, 1], q on [0, 1]), which preserves diagnosability of
-    saturating fits. residual_history holds the accepted sum-of-squares
-    sequence, which is non-increasing by construction.
+    saturating fits.
     """
 
     params: BassParams
@@ -47,7 +47,6 @@ class FitResult:
     converged: bool
     p_at_bound: bool
     q_at_bound: bool
-    residual_history: tuple[float, ...]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -63,13 +62,6 @@ class FitResult:
             },
             indent=2,
         )
-
-
-def _curve(p: float, q: float, t: np.ndarray):
-    """Closed-form curve n(t) = p(1-E)/(p+qE), E = exp(-(p+q)t); returns
-    (n, E)."""
-    e = np.exp(-(p + q) * t)
-    return p * (1.0 - e) / (p + q * e), e
 
 
 def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
@@ -131,18 +123,16 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         return float(resid @ resid)
 
     current = sse(p, q)
-    history = [current]
     lam = 1e-3
     converged = False
     iteration = 0
     for iteration in range(1, MAX_ITERATIONS + 1):
         n, dn_dp, dn_dq = _curve_and_jacobian(p, q, t)
-        resid = y - n
         j = np.column_stack((dn_dp, dn_dq))
         jtj = j.T @ j
-        jtr = j.T @ resid
-        stepped = False
-        for _ in range(60):
+        jtr = j.T @ (y - n)
+        # raise the damping until a step does not increase the SSE
+        while lam <= MAX_DAMPING:
             damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-14))
             try:
                 delta = np.linalg.solve(damped, jtr)
@@ -152,21 +142,18 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
             cand_p, cand_q = _clip(p + float(delta[0]), q + float(delta[1]))
             cand_sse = sse(cand_p, cand_q)
             if cand_sse <= current:
-                step = math.hypot(cand_p - p, cand_q - q)
-                scale = math.hypot(p, q)
-                p, q, current = cand_p, cand_q, cand_sse
-                history.append(current)
-                lam = max(lam * 0.25, 1e-12)
-                stepped = True
-                if step <= STEP_TOL * max(scale, 1e-30):
-                    converged = True
                 break
             lam *= 10.0
-            if lam > 1e12:
-                break
-        if converged or not stepped:
+        else:
             # no acceptable step exists at any damping: local minimum
-            converged = converged or not stepped
+            converged = True
+            break
+        step = math.hypot(cand_p - p, cand_q - q)
+        scale = math.hypot(p, q)
+        p, q, current = cand_p, cand_q, cand_sse
+        lam = max(lam * 0.25, 1e-12)
+        if step <= STEP_TOL * max(scale, 1e-30):
+            converged = True
             break
 
     r_squared = 1.0 - current / ss_tot
@@ -178,7 +165,6 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         converged=converged,
         p_at_bound=(p <= P_MIN or p >= P_MAX),
         q_at_bound=(q <= Q_MIN or q >= Q_MAX),
-        residual_history=tuple(history),
     )
 
 

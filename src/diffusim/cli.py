@@ -1,5 +1,9 @@
 """Command-line front end: simulate, sweep, fit, and analysis utilities.
 
+The CLI parses: it casts each config key or argument to its type, and the
+model types (`SimConfig`, `LatticeSpec`, `Neighborhood.for_k`) check the
+values, before any run starts; what they reject is a configuration error.
+
 Every command that writes a primary output file also writes a sibling
 `<output>.manifest.json` recording the tool version, seed, and the full
 parameter set needed to reproduce the file byte for byte (the manifest
@@ -95,15 +99,22 @@ def _load_json_config(path: str) -> dict:
     return data
 
 
-def _take(config: dict, key: str, default, kind, check=None, why=""):
-    value = config.pop(key, default)
+def _cast(key: str, value, caster):
     try:
-        value = kind(value)
+        return caster(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
-    if check is not None and not check(value):
-        raise ConfigError(f"config key '{key}' out of range: {value!r} ({why})")
-    return value
+
+
+def _take(config: dict, key: str, default, caster):
+    return _cast(key, config.pop(key, default), caster)
+
+
+def _levels(config: dict, key: str, default, caster) -> list:
+    raw = config.pop(key, list(default))
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"config key '{key}' must be a non-empty list")
+    return [_cast(key, item, caster) for item in raw]
 
 
 def _reject_unknown(config: dict, context: str) -> None:
@@ -112,18 +123,18 @@ def _reject_unknown(config: dict, context: str) -> None:
         raise ConfigError(f"unknown {context} config keys: {names}")
 
 
-def _is_degree_class(k: int) -> bool:
+def _neighborhood_arg(k: int) -> Neighborhood:
     try:
-        Neighborhood.for_k(k)
-    except ValueError:
-        return False
-    return True
+        return Neighborhood.for_k(k)
+    except ValueError as exc:
+        raise ConfigError(f"argument --k: {exc}") from exc
 
 
-def _check_lattice_args(args) -> None:
-    for name, value in (("--rows", args.rows), ("--cols", args.cols)):
-        if value < 2:
-            raise ConfigError(f"argument {name} must be >= 2")
+def _lattice_args(args, neighborhood: Neighborhood) -> LatticeSpec:
+    try:
+        return LatticeSpec(args.rows, args.cols, neighborhood)
+    except ValueError as exc:
+        raise ConfigError(f"arguments --rows/--cols: {exc}") from exc
 
 
 def _parse_sigma(value, source: str) -> Pattern:
@@ -138,27 +149,25 @@ def _parse_sigma(value, source: str) -> Pattern:
 
 def cmd_simulate(args) -> int:
     config = _load_json_config(args.config)
-    rows = _take(config, "rows", 200, int, lambda v: v >= 2, "must be >= 2")
-    cols = _take(config, "cols", 200, int, lambda v: v >= 2, "must be >= 2")
+    rows = _take(config, "rows", 200, int)
+    cols = _take(config, "cols", 200, int)
     neighborhood = _take(config, "k", 8, lambda v: Neighborhood.for_k(int(v)))
-    delta_u = _take(config, "delta_u", 0.6, float, np.isfinite, "must be finite")
-    alpha = _take(config, "alpha", 0.5, float, lambda v: 0 <= v <= 1,
-                  "must be in [0, 1]")
-    p_r = _take(config, "p_r", 0.0, float, lambda v: 0 <= v <= 1,
-                "must be in [0, 1]")
-    gamma = _take(config, "gamma", 1000, int, lambda v: v >= 1, "must be >= 1")
-    fraction = _take(config, "innovator_fraction", 0.025, float,
-                     lambda v: 0 < v <= 1, "must be in (0, 1]")
-    max_ticks = _take(config, "max_ticks", 500, int, lambda v: v >= 1,
-                      "must be >= 1")
+    delta_u = _take(config, "delta_u", 0.6, float)
+    alpha = _take(config, "alpha", 0.5, float)
+    p_r = _take(config, "p_r", 0.0, float)
+    gamma = _take(config, "gamma", 1000, int)
+    fraction = _take(config, "innovator_fraction", 0.025, float)
+    max_ticks = _take(config, "max_ticks", 500, int)
     sigma = _parse_sigma(config.pop("sigma", "uniform"), "config key 'sigma'")
     _reject_unknown(config, "simulate")
-
-    run = SimConfig(
-        lattice=LatticeSpec(rows, cols, neighborhood), delta_u=delta_u,
-        sigma=sigma, p_r=p_r, gamma=gamma, alpha=alpha,
-        innovator_fraction=fraction, seed=args.seed,
-    )
+    try:
+        run = SimConfig(
+            lattice=LatticeSpec(rows, cols, neighborhood), delta_u=delta_u,
+            sigma=sigma, p_r=p_r, gamma=gamma, alpha=alpha,
+            innovator_fraction=fraction, max_ticks=max_ticks, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     net, plan, _ = run.realize()
     traj = simulate(
         net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
@@ -183,53 +192,33 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _levels(config: dict, key: str, default, caster, check, why) -> list:
-    raw = config.pop(key, list(default))
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"config key '{key}' must be a non-empty list")
-    out = []
-    for item in raw:
-        try:
-            value = caster(item)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key '{key}': {exc}") from exc
-        if not check(value):
-            raise ConfigError(f"config key '{key}' entry out of range: "
-                              f"{item!r} ({why})")
-        out.append(value)
-    return out
-
-
 def cmd_sweep(args) -> int:
     config = _load_json_config(args.config)
-    rows = _take(config, "rows", 200, int, lambda v: v >= 2, "must be >= 2")
-    cols = _take(config, "cols", 200, int, lambda v: v >= 2, "must be >= 2")
-    alpha = _take(config, "alpha", 0.5, float, lambda v: 0 <= v <= 1,
-                  "must be in [0, 1]")
-    max_ticks = _take(config, "max_ticks", 500, int, lambda v: v >= 1,
-                      "must be >= 1")
-    k_levels = _levels(config, "k_levels", K_LEVELS, int, _is_degree_class,
-                       "must be 4 or 8")
-    du_levels = _levels(config, "delta_u_levels", DELTA_U_LEVELS, float,
-                        np.isfinite, "must be finite")
-    pr_levels = _levels(config, "p_r_levels", REWIRE_LEVELS, float,
-                        lambda v: 0 <= v <= 1, "must be in [0, 1]")
-    gamma_levels = _levels(config, "gamma_levels", GAMMA_LEVELS, int,
-                           lambda v: v >= 1, "must be >= 1")
-    sigma_raw = config.pop("sigma_levels", [p.value for p in SIGMA_LEVELS])
-    if not isinstance(sigma_raw, list) or not sigma_raw:
-        raise ConfigError("config key 'sigma_levels' must be a non-empty list")
-    sigma_levels = [_parse_sigma(s, "config key 'sigma_levels'") for s in sigma_raw]
-    _reject_unknown(config, "sweep")
-
-    grid = default_grid(
-        rows=rows, cols=cols, k_levels=k_levels, delta_u_levels=du_levels,
-        sigma_levels=sigma_levels, p_r_levels=pr_levels,
-        gamma_levels=gamma_levels, alpha=alpha,
+    rows = _take(config, "rows", 200, int)
+    cols = _take(config, "cols", 200, int)
+    alpha = _take(config, "alpha", 0.5, float)
+    max_ticks = _take(config, "max_ticks", 500, int)
+    k_levels = _levels(config, "k_levels", K_LEVELS, int)
+    du_levels = _levels(config, "delta_u_levels", DELTA_U_LEVELS, float)
+    pr_levels = _levels(config, "p_r_levels", REWIRE_LEVELS, float)
+    gamma_levels = _levels(config, "gamma_levels", GAMMA_LEVELS, int)
+    sigma_levels = _levels(
+        config, "sigma_levels", [p.value for p in SIGMA_LEVELS],
+        lambda s: _parse_sigma(s, "config key 'sigma_levels'"),
     )
+    _reject_unknown(config, "sweep")
+    try:
+        grid = default_grid(
+            rows=rows, cols=cols, k_levels=k_levels, delta_u_levels=du_levels,
+            sigma_levels=sigma_levels, p_r_levels=pr_levels,
+            gamma_levels=gamma_levels, alpha=alpha, max_ticks=max_ticks,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     records = run_sweep(
         grid, replications=args.replications, master_seed=args.seed,
-        max_ticks=max_ticks, jobs=args.jobs,
+        jobs=args.jobs,
     )
 
     out_dir = Path(args.out or ".")
@@ -332,8 +321,7 @@ def cmd_takeoff(args) -> int:
 
 
 def cmd_roi(args) -> int:
-    _check_lattice_args(args)
-    population = LatticeSpec(args.rows, args.cols, Neighborhood.MOORE).node_count
+    population = _lattice_args(args, Neighborhood.MOORE).node_count
     base = _bass_params(args.base_p, args.base_q)
     boost = _bass_params(args.boost_p, args.boost_q)
     try:
@@ -350,8 +338,7 @@ def cmd_roi(args) -> int:
 
 def cmd_envelope(args) -> int:
     sigma = _parse_sigma(args.sigma, "argument --sigma")
-    if not _is_degree_class(args.k):
-        raise ConfigError("argument --k must be 4 or 8")
+    _neighborhood_arg(args.k)
     try:
         records = read_sweep_csv(args.sweep_csv)
     except OSError as exc:
@@ -387,14 +374,10 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_netstats(args) -> int:
-    try:
-        neighborhood = Neighborhood.for_k(args.k)
-    except ValueError as exc:
-        raise ConfigError(f"argument --k: {exc}") from exc
+    neighborhood = _neighborhood_arg(args.k)
     if not 0 <= args.p_r <= 1:
         raise ConfigError("argument --p-r must be in [0, 1]")
-    _check_lattice_args(args)
-    lattice = LatticeSpec(args.rows, args.cols, neighborhood)
+    lattice = _lattice_args(args, neighborhood)
     rng = np.random.default_rng(args.seed)
     net = build_lattice(lattice)
     if args.p_r > 0:

@@ -52,7 +52,7 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.rows < 2 or self.cols < 2:
             raise ValueError(
-                f"lattice must be at least 2x2, got {self.rows}x{self.cols}"
+                f"rows and cols must be >= 2, got {self.rows}x{self.cols}"
             )
         if not isinstance(self.neighborhood, Neighborhood):
             raise ValueError(f"invalid neighborhood: {self.neighborhood!r}")

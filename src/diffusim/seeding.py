@@ -23,6 +23,12 @@ class Pattern(enum.Enum):
     UNIFORM = "uniform"
 
 
+def last_activation_tick(count: int, gamma: int) -> int:
+    """Tick of the final block when `count` innovators activate `gamma` per
+    tick: ceil(count / gamma); 0 when there are none."""
+    return -(-count // gamma)
+
+
 @dataclass(frozen=True)
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
@@ -43,9 +49,8 @@ class SeedingPlan:
 
     @property
     def last_tick(self) -> int:
-        """Tick of the final activation block: ceil(len(positions) / gamma);
-        0 when the plan is empty."""
-        return -(-len(self.positions) // self.gamma)
+        """Tick of the final activation block (see last_activation_tick)."""
+        return last_activation_tick(len(self.positions), self.gamma)
 
     def seeds_at(self, tick: int) -> np.ndarray:
         """Innovators activating at `tick` (>= 1); empty after last_tick."""

@@ -31,7 +31,13 @@ from diffusim.network import (
     build_lattice,
     rewire,
 )
-from diffusim.seeding import Pattern, SeedingPlan, build_plan, default_innovator_count
+from diffusim.seeding import (
+    Pattern,
+    SeedingPlan,
+    build_plan,
+    default_innovator_count,
+    last_activation_tick,
+)
 
 DELTA_U_LEVELS = (0.6, 0.8)
 SIGMA_LEVELS = (Pattern.COMPACT, Pattern.INTERMEDIATE, Pattern.UNIFORM)
@@ -60,7 +66,9 @@ class Location(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulated micro-parameter combination."""
+    """One simulated micro-parameter combination, checked in full when
+    built; max_ticks must cover the seeding schedule, ceil(innovators /
+    gamma) ticks."""
 
     lattice: LatticeSpec
     delta_u: float
@@ -69,6 +77,7 @@ class SimConfig:
     gamma: int
     alpha: float = 0.5
     innovator_fraction: float = 0.025
+    max_ticks: int = 500
     seed: int = 0
     replication: int = 0
 
@@ -88,6 +97,14 @@ class SimConfig:
         if not 0.0 < self.innovator_fraction <= 1.0:
             raise ValueError(
                 f"innovator_fraction must be in (0, 1], got {self.innovator_fraction}"
+            )
+        count = default_innovator_count(self.lattice, self.innovator_fraction)
+        last_tick = last_activation_tick(count, self.gamma)
+        if self.max_ticks < last_tick:
+            raise ValueError(
+                f"max_ticks={self.max_ticks} does not cover the seeding "
+                f"schedule, which ends at tick {last_tick} ({count} "
+                f"innovators, gamma={self.gamma} per tick)"
             )
 
     @property
@@ -142,6 +159,7 @@ def default_grid(
     p_r_levels: Sequence[float] = REWIRE_LEVELS,
     gamma_levels: Sequence[int] = GAMMA_LEVELS,
     alpha: float = 0.5,
+    max_ticks: int = 500,
 ) -> list[SimConfig]:
     """The factorial experiment grid in reference-table row order: degree
     class, then utility difference, seeding pattern, rewiring probability,
@@ -157,6 +175,7 @@ def default_grid(
                             SimConfig(
                                 lattice=lattice, delta_u=delta_u, sigma=sigma,
                                 p_r=p_r, gamma=gamma, alpha=alpha,
+                                max_ticks=max_ticks,
                             )
                         )
     return grid
@@ -168,7 +187,7 @@ def derive_run_seed(master_seed: int, config_index: int, replication: int) -> in
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_once(config: SimConfig, max_ticks: int = 500) -> SweepRecord:
+def run_once(config: SimConfig) -> SweepRecord:
     """Simulate one configuration and fit its trajectory.
 
     The network and seeding plan come from config.realize(). A trajectory
@@ -179,7 +198,7 @@ def run_once(config: SimConfig, max_ticks: int = 500) -> SweepRecord:
     net, plan, _ = config.realize()
     traj = simulate(
         net, plan, DecisionParams(delta_u=config.delta_u, alpha=config.alpha),
-        max_ticks=max_ticks,
+        max_ticks=config.max_ticks,
     )
     fit = fit_bass(traj)
     return SweepRecord(
@@ -195,14 +214,14 @@ def run_once(config: SimConfig, max_ticks: int = 500) -> SweepRecord:
 
 
 def _run_config_block(args: tuple) -> list[SweepRecord]:
-    config, index, master_seed, replications, max_ticks = args
+    config, index, master_seed, replications = args
     records = []
     for rep in range(replications):
         seeded = dataclasses.replace(
             config, seed=derive_run_seed(master_seed, index, rep), replication=rep
         )
         try:
-            records.append(run_once(seeded, max_ticks=max_ticks))
+            records.append(run_once(seeded))
         except DegenerateTrajectory:
             # a run that cannot be fitted keeps its row; NaNs mark the fit
             # columns as unusable. Any other error is a fault and propagates.
@@ -220,7 +239,6 @@ def run_sweep(
     grid: Sequence[SimConfig],
     replications: int = 1,
     master_seed: int = 0,
-    max_ticks: int = 500,
     jobs: int = 1,
 ) -> list[SweepRecord]:
     """Run every configuration x replication and collect fitted records.
@@ -235,7 +253,7 @@ def run_sweep(
     if replications < 1:
         raise ValueError("replications must be >= 1")
     tasks = [
-        (config, index, master_seed, replications, max_ticks)
+        (config, index, master_seed, replications)
         for index, config in enumerate(grid)
     ]
     if jobs <= 1:
@@ -439,23 +457,18 @@ def manifest_path(primary_output) -> Path:
     return Path(str(primary_output) + ".manifest.json")
 
 
-def read_sweep_csv(
-    path, rows: int | None = None, cols: int | None = None
-) -> list[SweepRecord]:
+def read_sweep_csv(path) -> list[SweepRecord]:
     """Load sweep records.
 
-    The CSV does not hold the lattice size. Sizes not given are read from
-    the sibling manifest's `rows` and `cols` parameters when that file
-    exists, and are otherwise the default 200x200.
+    The CSV does not hold the lattice size, alpha or max_ticks. They are
+    read from the sibling manifest's `parameters` when that file exists,
+    and are otherwise 200x200 and SimConfig's defaults.
 
     Raises:
         ValueError: the header is not the pinned one, a row is malformed,
-            or the manifest records no lattice size.
+            or the manifest lacks one of those parameters.
     """
-    if rows is None or cols is None:
-        recorded_rows, recorded_cols = _recorded_lattice_size(path)
-        rows = recorded_rows if rows is None else rows
-        cols = recorded_cols if cols is None else cols
+    rows, cols, alpha, max_ticks = _recorded_parameters(path)
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -468,6 +481,8 @@ def read_sweep_csv(
                 sigma=Pattern(row["sigma"]),
                 p_r=float(row["p_r"]),
                 gamma=int(row["gamma"]),
+                alpha=alpha,
+                max_ticks=max_ticks,
                 seed=int(row["seed"]),
                 replication=int(row["replication"]),
             )
@@ -484,16 +499,18 @@ def read_sweep_csv(
     return records
 
 
-def _recorded_lattice_size(path) -> tuple[int, int]:
+def _recorded_parameters(path) -> tuple[int, int, float, int]:
     manifest = manifest_path(path)
     if not manifest.exists():
-        return 200, 200
+        return 200, 200, SimConfig.alpha, SimConfig.max_ticks
     try:
         parameters = json.loads(manifest.read_text())["parameters"]
-        return int(parameters["rows"]), int(parameters["cols"])
+        return (int(parameters["rows"]), int(parameters["cols"]),
+                float(parameters["alpha"]), int(parameters["max_ticks"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            f"cannot read the lattice size from {manifest}: {exc!r}"
+            f"cannot read the lattice size, alpha and max_ticks from "
+            f"{manifest}: {exc!r}"
         ) from exc
 
 

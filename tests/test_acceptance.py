@@ -63,8 +63,11 @@ DESIGNATED_CELLS = [
 @pytest.fixture(scope="module")
 def full_sweep():
     """Five replications of the complete 360-cell grid, fixed master seed."""
+    # jobs=2 only shortens the wait: records are identical for any jobs
+    # (test_sweep_determinism_across_jobs)
     records = run_sweep(
-        default_grid(), replications=REPLICATIONS, master_seed=MASTER_SEED
+        default_grid(), replications=REPLICATIONS, master_seed=MASTER_SEED,
+        jobs=2,
     )
     assert len(records) == 360 * REPLICATIONS
     return records

@@ -167,8 +167,9 @@ def test_simulate_reproduces_a_sweep_row(tmp_path, capsys):
     grid = default_grid(
         rows=30, cols=30, k_levels=[8], delta_u_levels=[0.6],
         sigma_levels=[Pattern.UNIFORM], p_r_levels=[0.04], gamma_levels=[9],
+        max_ticks=300,
     )
-    (row,) = run_sweep(grid, master_seed=3, max_ticks=300)
+    (row,) = run_sweep(grid, master_seed=3)
     assert row.saturation_tick > 0
     config = write_json(tmp_path / "sim.json", {
         "rows": 30, "cols": 30, "k": 8, "delta_u": 0.6, "sigma": "uniform",
@@ -189,6 +190,39 @@ def test_simulate_rejects_out_of_range_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", config)
     assert code == EXIT_CONFIG
     assert "p_r" in err
+
+
+def _no_runs(monkeypatch):
+    def run_started(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("diffusim.cli.simulate", run_started)
+    monkeypatch.setattr("diffusim.sweep.simulate", run_started)
+
+
+def test_simulate_rejects_uncoverable_max_ticks_before_running(
+        tmp_path, capsys, monkeypatch):
+    # 40 innovators at one per tick need 40 ticks
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "sim.json", {
+        **SMALL_SIM, "rows": 40, "cols": 40, "gamma": 1, "max_ticks": 30,
+    })
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "simulate", config, "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "max_ticks" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_too_small_lattice_names_the_key(tmp_path, capsys, monkeypatch,
+                                         command):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "c.json", {"rows": 1})
+    code, _, err = run_cli(capsys, command, config,
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert "rows" in err
 
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
@@ -243,7 +277,7 @@ def test_sweep_csv_reads_back_its_lattice_size(tmp_path, capsys):
     # the CSV does not hold the lattice size; its manifest does
     config = write_json(tmp_path / "grid.json", {
         **SMALL_GRID, "rows": 30, "cols": 30, "p_r_levels": [0.04],
-        "gamma_levels": [20],
+        "gamma_levels": [20], "alpha": 0.3,
     })
     out = tmp_path / "run"
     code, _, _ = run_cli(capsys, "sweep", config, "--out", str(out))
@@ -251,6 +285,23 @@ def test_sweep_csv_reads_back_its_lattice_size(tmp_path, capsys):
     records = read_sweep_csv(out / "sweep.csv")
     assert len(records) == 1
     assert (records[0].config.lattice.rows, records[0].config.lattice.cols) == (30, 30)
+    assert records[0].config.alpha == 0.3
+    assert records[0].config.max_ticks == SMALL_GRID["max_ticks"]
+
+
+def test_sweep_rejects_uncoverable_max_ticks_before_running(
+        tmp_path, capsys, monkeypatch):
+    # the first cell (gamma 40) could run; the second (gamma 1) cannot
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "grid.json", {
+        **SMALL_GRID, "p_r_levels": [0.0], "gamma_levels": [40, 1],
+        "max_ticks": 30,
+    })
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "sweep", config, "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "max_ticks" in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_jobs_do_not_change_bytes(tmp_path, capsys):

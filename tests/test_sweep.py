@@ -1,5 +1,6 @@
 """Sweep harness, envelope geometry, nearest-record lookup, ROI rule."""
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from diffusim.sweep import (
     derive_run_seed,
     envelope,
     locate,
+    manifest_path,
     median_by_cell,
     nearest_micro,
     read_empirical_csv,
@@ -44,7 +46,7 @@ MOORE_30 = LatticeSpec(30, 30, Neighborhood.MOORE)
 def small_config(**overrides) -> SimConfig:
     base = dict(
         lattice=MOORE_30, delta_u=0.6, sigma=Pattern.UNIFORM,
-        p_r=0.01, gamma=10, seed=99,
+        p_r=0.01, gamma=10, max_ticks=300, seed=99,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -95,6 +97,14 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="p_r"):
             small_config(p_r=1.5)
 
+    def test_rejects_max_ticks_short_of_the_seeding_schedule(self):
+        # 23 innovators at one per tick activate through tick 23
+        with pytest.raises(ValueError, match="max_ticks=22.*gamma=1"):
+            small_config(gamma=1, max_ticks=22)
+        assert small_config(gamma=1, max_ticks=23).max_ticks == 23
+        with pytest.raises(ValueError, match="max_ticks"):
+            small_config(max_ticks=0)
+
     def test_rejects_bad_gamma_alpha_seed(self):
         with pytest.raises(ValueError):
             small_config(gamma=0)
@@ -117,7 +127,7 @@ class TestSeedDerivation:
 
 class TestRunOnce:
     def test_record_fields(self):
-        record = run_once(small_config(), max_ticks=300)
+        record = run_once(small_config())
         assert record.config.seed == 99
         assert record.p > 0
         assert 0 <= record.q <= 1
@@ -127,14 +137,14 @@ class TestRunOnce:
 
     def test_reproducible_from_recorded_seed(self):
         config = small_config(seed=derive_run_seed(7, 0, 0))
-        assert run_once(config, max_ticks=300) == run_once(config, max_ticks=300)
+        assert run_once(config) == run_once(config)
 
 
 class TestRunSweep:
     def test_single_config_two_replications_deterministic(self):
         grid = [small_config()]
-        a = run_sweep(grid, replications=2, master_seed=11, max_ticks=300)
-        b = run_sweep(grid, replications=2, master_seed=11, max_ticks=300)
+        a = run_sweep(grid, replications=2, master_seed=11)
+        b = run_sweep(grid, replications=2, master_seed=11)
         assert a == b
         assert a[0].config.replication == 0
         assert a[1].config.replication == 1
@@ -147,8 +157,8 @@ class TestRunSweep:
             for gamma in (5, 23)
             for p_r in (0.0, 0.02)
         ]
-        serial = run_sweep(grid, replications=2, master_seed=3, max_ticks=300, jobs=1)
-        pooled = run_sweep(grid, replications=2, master_seed=3, max_ticks=300, jobs=2)
+        serial = run_sweep(grid, replications=2, master_seed=3, jobs=1)
+        pooled = run_sweep(grid, replications=2, master_seed=3, jobs=2)
         assert serial == pooled
         write_sweep_csv(serial, tmp_path / "serial.csv")
         write_sweep_csv(pooled, tmp_path / "pooled.csv")
@@ -165,7 +175,7 @@ class TestRunSweep:
             raise DegenerateTrajectory("zero variance")
 
         monkeypatch.setattr(sweep, "fit_bass", degenerate)
-        (record,) = run_sweep([small_config()], max_ticks=300)
+        (record,) = run_sweep([small_config()])
         assert math.isnan(record.p) and math.isnan(record.q)
         assert record.saturation_tick == NOT_SATURATED
 
@@ -176,7 +186,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "rewire", broken)
         with pytest.raises(ValueError, match="broken rewire"):
-            run_sweep([small_config()], max_ticks=300)
+            run_sweep([small_config()])
 
 
 class TestMedianAggregation:
@@ -405,10 +415,13 @@ class TestRoiCheck:
 class TestCsvRoundTrips:
     def test_sweep_csv_roundtrip(self, tmp_path):
         grid = [small_config(lattice=MOORE_30, gamma=9)]
-        records = run_sweep(grid, replications=2, master_seed=1, max_ticks=300)
+        records = run_sweep(grid, replications=2, master_seed=1)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(records, path)
-        loaded = read_sweep_csv(path, rows=30, cols=30)
+        manifest_path(path).write_text(json.dumps({"parameters": {
+            "rows": 30, "cols": 30, "alpha": 0.5, "max_ticks": 300,
+        }}))
+        loaded = read_sweep_csv(path)
         assert loaded == records
         header = path.read_text().splitlines()[0]
         assert header == ",".join(SWEEP_CSV_HEADER)
