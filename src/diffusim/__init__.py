@@ -10,7 +10,6 @@ from diffusim.bass import (
     BassParams,
     bass_curve,
     bass_ode_solve,
-    shape_ratio,
     takeoff_is_degenerate,
     takeoff_time,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "run_once",
     "run_sweep",
     "schedule_innovators",
-    "shape_ratio",
     "simulate",
     "takeoff_is_degenerate",
     "takeoff_time",

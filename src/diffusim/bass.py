@@ -6,7 +6,7 @@ The cumulative adoption proportion n(t) solves
 
 where p drives spontaneous (external-influence) adoption and q drives
 imitation. The closed form, the Runge-Kutta integrator used as its
-independent check, the takeoff time, and the q/p shape ratio live here.
+independent check, and the takeoff time live here.
 """
 
 from __future__ import annotations
@@ -134,8 +134,3 @@ def takeoff_is_degenerate(params: BassParams) -> bool:
     if params.q <= 0:
         raise ValueError(f"takeoff time requires q > 0, got q={params.q}")
     return params.q <= params.p * _TAKEOFF_CONST
-
-
-def shape_ratio(params: BassParams) -> float:
-    """Imitation-to-innovation ratio q/p; summarizes the curve's shape."""
-    return params.q / params.p

@@ -1,13 +1,20 @@
 """Command-line front end: simulate, sweep, fit, and analysis utilities.
 
 The CLI parses: it casts each config key or argument to its type, and the
-model types (`SimConfig`, `LatticeSpec`, `Neighborhood.for_k`) check the
-values, before any run starts; what they reject is a configuration error.
+model types (`SimConfig`, `LatticeSpec`, `Neighborhood.for_k`, `BassParams`)
+check the values before any run starts. A model type's `ValueError` is a
+usage error that names the argument or config file; an error raised by a
+run is a runtime failure.
+
+Each subcommand takes only the options it uses: `--seed` belongs to the
+commands that draw at random (`simulate`, `sweep`, `netstats`), `--out` to
+the commands that write a file.
 
 Every command that writes a primary output file also writes a sibling
-`<output>.manifest.json` recording the tool version, seed, and the full
-parameter set needed to reproduce the file byte for byte (the manifest
-itself carries a timestamp and is excluded from byte-identity guarantees).
+`<output>.manifest.json` recording the tool version, seed (null for a
+command without `--seed`), and the full parameter set needed to reproduce
+the file byte for byte (the manifest itself carries a timestamp and is
+excluded from byte-identity guarantees).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -61,85 +68,63 @@ EXIT_CONFIG = 2
 
 
 class ConfigError(Exception):
-    """Invalid configuration; message names the offending key or line."""
+    """Invalid configuration; message names the offending key or argument."""
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _checked(source: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError turned into a usage error that
+    `source` names. Wraps argument checks and model construction, never a
+    run: a run's ValueError (DegenerateTrajectory among them) is a fault."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _write_manifest(primary_output: Path, command: str, seed: int | None,
-                    parameters: dict, outputs: list[str]) -> None:
+def _read(what: str, reader, path):
+    """reader(path); a file that cannot be read or parsed is a usage error."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _write_manifest(args, primary_output, parameters: dict,
+                    outputs: list[str] | None = None) -> None:
+    """Write the manifest of `primary_output`, which is its only output
+    unless `outputs` lists them all."""
     manifest = {
         "tool": "diffusim",
         "version": diffusim.__version__,
-        "command": command,
-        "created_utc": _utc_now(),
-        "master_seed": seed,
+        "command": args.command,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "master_seed": getattr(args, "seed", None),
         "parameters": parameters,
-        "outputs": outputs,
+        "outputs": outputs or [str(primary_output)],
     }
-    manifest_path(primary_output).write_text(json.dumps(manifest, indent=2) + "\n")
+    # seeding patterns are written by name
+    text = json.dumps(manifest, indent=2, default=lambda pattern: pattern.value)
+    manifest_path(primary_output).write_text(text + "\n")
 
 
-def _load_json_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config file {path} is not valid JSON: line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
+# Config casters: cast(value, source) returns the typed value or raises a
+# ConfigError naming `source`.
+
+def _integer(value, source: str) -> int:
+    if type(value) is not int:  # a JSON integer: not a float, not a bool
+        raise ConfigError(f"{source} must be an integer, got {json.dumps(value)}")
+    return value
 
 
-def _cast(key: str, value, caster):
-    try:
-        return caster(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{key}': {exc}") from exc
+def _number(value, source: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{source} must be a number, got {json.dumps(value)}")
+    return float(value)
 
 
-def _take(config: dict, key: str, default, caster):
-    return _cast(key, config.pop(key, default), caster)
-
-
-def _levels(config: dict, key: str, default, caster) -> list:
-    raw = config.pop(key, list(default))
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"config key '{key}' must be a non-empty list")
-    return [_cast(key, item, caster) for item in raw]
-
-
-def _reject_unknown(config: dict, context: str) -> None:
-    if config:
-        names = ", ".join(sorted(config))
-        raise ConfigError(f"unknown {context} config keys: {names}")
-
-
-def _neighborhood_arg(k: int) -> Neighborhood:
-    try:
-        return Neighborhood.for_k(k)
-    except ValueError as exc:
-        raise ConfigError(f"argument --k: {exc}") from exc
-
-
-def _lattice_args(args, neighborhood: Neighborhood) -> LatticeSpec:
-    try:
-        return LatticeSpec(args.rows, args.cols, neighborhood)
-    except ValueError as exc:
-        raise ConfigError(f"arguments --rows/--cols: {exc}") from exc
-
-
-def _parse_sigma(value, source: str) -> Pattern:
-    """The pattern named by `value`; `source` names where it came from in
-    the error, e.g. "config key 'sigma'" or "argument --sigma"."""
+def _sigma(value, source: str) -> Pattern:
     try:
         return Pattern(str(value).lower())
     except ValueError as exc:
@@ -147,105 +132,107 @@ def _parse_sigma(value, source: str) -> Pattern:
         raise ConfigError(f"{source} must be one of {names}, got {value!r}") from exc
 
 
+def _levels(caster):
+    """The caster of a non-empty list of `caster` values."""
+    def cast(value, source: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{source} must be a non-empty list")
+        return [caster(item, source) for item in value]
+    return cast
+
+
+# config key -> (default, caster). The cast values feed the model call and
+# are the manifest's parameters.
+_SIMULATE_KEYS = {
+    "rows": (200, _integer),
+    "cols": (200, _integer),
+    "k": (8, _integer),
+    "delta_u": (0.6, _number),
+    "alpha": (SimConfig.alpha, _number),
+    "sigma": (Pattern.UNIFORM.value, _sigma),
+    "p_r": (0.0, _number),
+    "gamma": (1000, _integer),
+    "innovator_fraction": (SimConfig.innovator_fraction, _number),
+    "max_ticks": (SimConfig.max_ticks, _integer),
+}
+
+# the keys are default_grid's parameters
+_SWEEP_KEYS = {
+    "rows": (200, _integer),
+    "cols": (200, _integer),
+    "alpha": (SimConfig.alpha, _number),
+    "max_ticks": (SimConfig.max_ticks, _integer),
+    "k_levels": (list(K_LEVELS), _levels(_integer)),
+    "delta_u_levels": (list(DELTA_U_LEVELS), _levels(_number)),
+    "sigma_levels": ([p.value for p in SIGMA_LEVELS], _levels(_sigma)),
+    "p_r_levels": (list(REWIRE_LEVELS), _levels(_number)),
+    "gamma_levels": (list(GAMMA_LEVELS), _levels(_integer)),
+}
+
+
+def _read_config(path: str, keys: dict) -> dict:
+    """Each of `keys` cast from the JSON config file, or its default when
+    the file omits it; a key not in `keys` is an error."""
+    config = _read("config file", lambda p: json.loads(Path(p).read_text()), path)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    return {key: caster(config.get(key, default), f"config key '{key}'")
+            for key, (default, caster) in keys.items()}
+
+
+def _sim_config(rows: int, cols: int, k: int, **fields) -> SimConfig:
+    return SimConfig(lattice=LatticeSpec(rows, cols, Neighborhood.for_k(k)), **fields)
+
+
 def cmd_simulate(args) -> int:
-    config = _load_json_config(args.config)
-    rows = _take(config, "rows", 200, int)
-    cols = _take(config, "cols", 200, int)
-    neighborhood = _take(config, "k", 8, lambda v: Neighborhood.for_k(int(v)))
-    delta_u = _take(config, "delta_u", 0.6, float)
-    alpha = _take(config, "alpha", 0.5, float)
-    p_r = _take(config, "p_r", 0.0, float)
-    gamma = _take(config, "gamma", 1000, int)
-    fraction = _take(config, "innovator_fraction", 0.025, float)
-    max_ticks = _take(config, "max_ticks", 500, int)
-    sigma = _parse_sigma(config.pop("sigma", "uniform"), "config key 'sigma'")
-    _reject_unknown(config, "simulate")
-    try:
-        run = SimConfig(
-            lattice=LatticeSpec(rows, cols, neighborhood), delta_u=delta_u,
-            sigma=sigma, p_r=p_r, gamma=gamma, alpha=alpha,
-            innovator_fraction=fraction, max_ticks=max_ticks, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = _read_config(args.config, _SIMULATE_KEYS)
+    run = _checked(f"config {args.config}", _sim_config, seed=args.seed, **values)
     net, plan, _ = run.realize()
     traj = simulate(
-        net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
-        max_ticks=max_ticks,
+        net, plan, DecisionParams(delta_u=run.delta_u, alpha=run.alpha),
+        max_ticks=run.max_ticks,
     )
-
-    out = Path(args.out or "trajectory.csv")
-    write_trajectory_csv(traj, out)
-    _write_manifest(
-        out, "simulate", args.seed,
-        {
-            "config_file": args.config, "rows": rows, "cols": cols, "k": run.k,
-            "delta_u": delta_u, "alpha": alpha, "sigma": sigma.value,
-            "p_r": p_r, "gamma": gamma, "innovator_fraction": fraction,
-            "max_ticks": max_ticks,
-        },
-        [str(out)],
-    )
+    write_trajectory_csv(traj, args.out)
+    _write_manifest(args, args.out, {"config_file": args.config, **values})
     saturated = traj.saturated_at if traj.saturated_at is not None else "never"
-    print(f"wrote {out}: {len(traj.proportions)} ticks, "
+    print(f"wrote {args.out}: {len(traj.proportions)} ticks, "
           f"final proportion {traj.final_proportion}, saturated at {saturated}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = _load_json_config(args.config)
-    rows = _take(config, "rows", 200, int)
-    cols = _take(config, "cols", 200, int)
-    alpha = _take(config, "alpha", 0.5, float)
-    max_ticks = _take(config, "max_ticks", 500, int)
-    k_levels = _levels(config, "k_levels", K_LEVELS, int)
-    du_levels = _levels(config, "delta_u_levels", DELTA_U_LEVELS, float)
-    pr_levels = _levels(config, "p_r_levels", REWIRE_LEVELS, float)
-    gamma_levels = _levels(config, "gamma_levels", GAMMA_LEVELS, int)
-    sigma_levels = _levels(
-        config, "sigma_levels", [p.value for p in SIGMA_LEVELS],
-        lambda s: _parse_sigma(s, "config key 'sigma_levels'"),
-    )
-    _reject_unknown(config, "sweep")
-    try:
-        grid = default_grid(
-            rows=rows, cols=cols, k_levels=k_levels, delta_u_levels=du_levels,
-            sigma_levels=sigma_levels, p_r_levels=pr_levels,
-            gamma_levels=gamma_levels, alpha=alpha, max_ticks=max_ticks,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = _read_config(args.config, _SWEEP_KEYS)
+    grid = _checked(f"config {args.config}", default_grid, **values)
 
     records = run_sweep(
         grid, replications=args.replications, master_seed=args.seed,
         jobs=args.jobs,
     )
 
-    out_dir = Path(args.out or ".")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
     write_sweep_csv(records, sweep_path)
     outputs = [str(sweep_path)]
     skipped = []
-    for k in k_levels:
-        for du in du_levels:
-            for sigma in sigma_levels:
-                name = f"envelope_k{k}_du{du!r}_{sigma.value}.csv"
-                try:
-                    env = envelope(records, (k, du, sigma))
-                except TooFewPoints:
-                    skipped.append(name)
-                    continue
-                write_envelope_csv(env, out_dir / name)
-                outputs.append(str(out_dir / name))
+    # one envelope per (k, delta_u, sigma) family, in grid order
+    for family in dict.fromkeys((c.k, c.delta_u, c.sigma) for c in grid):
+        k, du, sigma = family
+        name = f"envelope_k{k}_du{du!r}_{sigma.value}.csv"
+        try:
+            env = envelope(records, family)
+        except TooFewPoints:
+            skipped.append(name)
+            continue
+        write_envelope_csv(env, out_dir / name)
+        outputs.append(str(out_dir / name))
     _write_manifest(
-        sweep_path, "sweep", args.seed,
+        args, sweep_path,
         {
-            "config_file": args.config, "rows": rows, "cols": cols,
-            "alpha": alpha, "max_ticks": max_ticks,
-            "k_levels": k_levels, "delta_u_levels": du_levels,
-            "sigma_levels": [s.value for s in sigma_levels],
-            "p_r_levels": pr_levels, "gamma_levels": gamma_levels,
+            "config_file": args.config, **values,
             "replications": args.replications, "jobs": args.jobs,
             "envelopes_skipped_too_few_points": skipped,
         },
@@ -257,12 +244,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        traj = read_trajectory_csv(args.trajectory)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trajectory {args.trajectory}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"malformed trajectory {args.trajectory}: {exc}")
+    traj = _read("trajectory", read_trajectory_csv, args.trajectory)
     try:
         result = fit_bass(traj)
     except DegenerateTrajectory as exc:
@@ -271,8 +253,7 @@ def cmd_fit(args) -> int:
     payload = result.to_json()
     if args.out:
         Path(args.out).write_text(payload + "\n")
-        _write_manifest(Path(args.out), "fit", args.seed,
-                        {"trajectory": args.trajectory}, [args.out])
+        _write_manifest(args, args.out, {"trajectory": args.trajectory})
         print(f"wrote {args.out}")
     else:
         print(payload)
@@ -280,40 +261,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bass(args) -> int:
-    params = _bass_params(args.p, args.q)
+    params = _checked("arguments p, q", BassParams, args.p, args.q)
     if args.t is not None:
-        if args.t < 0:
-            raise ConfigError("argument --t must be >= 0")
-        print(repr(float(bass_curve(params, args.t))))
+        print(repr(_checked("argument --t", bass_curve, params, args.t)))
         return EXIT_OK
     if args.t_max < 0:
         raise ConfigError("argument --t-max must be >= 0")
     ticks = np.arange(int(args.t_max) + 1)
     values = bass_curve(params, ticks.astype(float))
-    out = Path(args.out or "bass.csv")
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write("tick,proportion\n")
         for tick, value in zip(ticks.tolist(), values.tolist()):
             fh.write(f"{tick},{value!r}\n")
-    _write_manifest(out, "bass", args.seed,
-                    {"p": args.p, "q": args.q, "t_max": args.t_max}, [str(out)])
-    print(f"wrote {out}")
+    _write_manifest(args, args.out, {"p": args.p, "q": args.q, "t_max": args.t_max})
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _bass_params(p: float, q: float) -> BassParams:
-    try:
-        return BassParams(p, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_takeoff(args) -> int:
-    params = _bass_params(args.p, args.q)
-    if args.q <= 0:
-        raise ConfigError("takeoff requires q > 0")
-    value = takeoff_time(params)
-    print(repr(float(value)))
+    params = _checked("arguments p, q", BassParams, args.p, args.q)
+    print(repr(_checked("argument q", takeoff_time, params)))
     if takeoff_is_degenerate(params):
         print("degenerate: takeoff precedes launch (q <= p(2+sqrt(3)))",
               file=sys.stderr)
@@ -321,87 +288,77 @@ def cmd_takeoff(args) -> int:
 
 
 def cmd_roi(args) -> int:
-    population = _lattice_args(args, Neighborhood.MOORE).node_count
-    base = _bass_params(args.base_p, args.base_q)
-    boost = _bass_params(args.boost_p, args.boost_q)
-    try:
-        report = roi_check(
-            base, boost, population, t_star=args.t_star,
-            profit_per_adopter=args.profit_per_adopter,
-            investment=args.investment, roi_min=args.roi_min,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    lattice = _checked("arguments --rows/--cols", LatticeSpec,
+                       args.rows, args.cols, Neighborhood.MOORE)
+    base = _checked("arguments --base-p/--base-q", BassParams,
+                    args.base_p, args.base_q)
+    boost = _checked("arguments --boost-p/--boost-q", BassParams,
+                     args.boost_p, args.boost_q)
+    report = _checked(
+        "arguments --base-q/--boost-q/--t-star", roi_check,
+        base, boost, lattice.node_count, t_star=args.t_star,
+        profit_per_adopter=args.profit_per_adopter,
+        investment=args.investment, roi_min=args.roi_min,
+    )
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 
 def cmd_envelope(args) -> int:
-    sigma = _parse_sigma(args.sigma, "argument --sigma")
-    _neighborhood_arg(args.k)
-    try:
-        records = read_sweep_csv(args.sweep_csv)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep CSV {args.sweep_csv}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"malformed sweep CSV {args.sweep_csv}: {exc}")
+    sigma = _sigma(args.sigma, "argument --sigma")
+    _checked("argument --k", Neighborhood.for_k, args.k)
+    records = _read("sweep CSV", read_sweep_csv, args.sweep_csv)
     try:
         env = envelope(records, (args.k, args.delta_u, sigma))
     except TooFewPoints as exc:
         print(f"cannot build envelope: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    out = Path(args.out or "envelope.csv")
-    write_envelope_csv(env, out)
-    outputs = [str(out)]
+    write_envelope_csv(env, args.out)
     if args.points:
-        try:
-            points = read_empirical_csv(args.points)
-        except OSError as exc:
-            raise ConfigError(f"cannot read points CSV {args.points}: {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"malformed points CSV {args.points}: {exc}")
+        points = _read("points CSV", read_empirical_csv, args.points)
         print("label,p,q,location")
         for label, p, q in points:
             where = locate((p, q), env)
             print(f"{label},{p!r},{q!r},{where.value}")
     _write_manifest(
-        out, "envelope", args.seed,
+        args, args.out,
         {"sweep_csv": args.sweep_csv, "k": args.k, "delta_u": args.delta_u,
-         "sigma": sigma.value, "points": args.points},
-        outputs,
+         "sigma": sigma, "points": args.points},
     )
     return EXIT_OK
 
 
 def cmd_netstats(args) -> int:
-    neighborhood = _neighborhood_arg(args.k)
+    neighborhood = _checked("argument --k", Neighborhood.for_k, args.k)
+    # rewire sees p_r only when it is positive, so no model check covers it
     if not 0 <= args.p_r <= 1:
         raise ConfigError("argument --p-r must be in [0, 1]")
-    lattice = _lattice_args(args, neighborhood)
+    lattice = _checked("arguments --rows/--cols", LatticeSpec,
+                       args.rows, args.cols, neighborhood)
     rng = np.random.default_rng(args.seed)
     net = build_lattice(lattice)
     if args.p_r > 0:
         net = rewire(net, args.p_r, rng)
     stats = network_stats(net, sample_size=args.sample, rng=rng)
-    payload = {
-        "nodes": net.node_count,
-        "edges": net.edge_count,
-        "mean_degree": stats.mean_degree,
-        "mean_path_length": stats.mean_path_length,
-        "clustering_coefficient": stats.clustering_coefficient,
-        "unreached_pairs": stats.unreached_pairs,
-    }
+    payload = {"nodes": net.node_count, "edges": net.edge_count,
+               **dataclasses.asdict(stats)}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        _write_manifest(Path(args.out), "netstats", args.seed,
+        _write_manifest(args, args.out,
                         {"rows": args.rows, "cols": args.cols, "k": args.k,
-                         "p_r": args.p_r, "sample": args.sample},
-                        [args.out])
+                         "p_r": args.p_r, "sample": args.sample})
         print(f"wrote {args.out}")
     else:
         print(text)
     return EXIT_OK
+
+
+def _count(text: str) -> int:
+    """argparse type of a count argument: an integer >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,28 +371,30 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"diffusim {diffusim.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0,
                        help="master seed (unsigned 64-bit)")
-        p.add_argument("--out", default=None, help="output path")
 
     p = sub.add_parser("simulate", help="run one configured simulation")
     p.add_argument("config", help="JSON config file")
-    add_common(p)
+    add_seed(p)
+    p.add_argument("--out", default="trajectory.csv", help="trajectory CSV path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a parameter grid and fit every run")
     p.add_argument("config", help="JSON grid config file ({} for defaults)")
-    p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--replications", type=_count, default=1)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes")
-    add_common(p)
+                   help="parallel worker processes (1 or less runs serially)")
+    add_seed(p)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit adoption-curve parameters to a "
                                    "trajectory CSV")
     p.add_argument("trajectory", help="CSV with tick,proportion columns")
-    add_common(p)
+    p.add_argument("--out", default=None,
+                   help="JSON result path (default: print it)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bass", help="evaluate the adoption curve")
@@ -445,14 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single time point (prints the value)")
     p.add_argument("--t-max", type=float, default=50,
                    help="inclusive end of the integer time grid CSV")
-    add_common(p)
+    p.add_argument("--out", default="bass.csv", help="time grid CSV path")
     p.set_defaults(func=cmd_bass)
 
     p = sub.add_parser("takeoff", help="introduction-to-growth transition "
                                        "time for (p, q)")
     p.add_argument("p", type=float)
     p.add_argument("q", type=float)
-    add_common(p)
     p.set_defaults(func=cmd_takeoff)
 
     p = sub.add_parser("roi", help="compare boosted vs baseline seeding gain")
@@ -466,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi-min", type=float, default=0.0)
     p.add_argument("--rows", type=int, default=200)
     p.add_argument("--cols", type=int, default=200)
-    add_common(p)
     p.set_defaults(func=cmd_roi)
 
     p = sub.add_parser("envelope", help="hull of fitted (p, q) points from "
@@ -477,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--points", default=None,
                    help="optional label,p,q CSV to classify against the hull")
-    add_common(p)
+    p.add_argument("--out", default="envelope.csv", help="hull CSV path")
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("netstats", help="summary statistics of a (rewired) "
@@ -486,18 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=200)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--p-r", type=float, default=0.0)
-    p.add_argument("--sample", type=int, default=256,
+    p.add_argument("--sample", type=_count, default=256,
                    help="path-length source sample size")
-    add_common(p)
+    add_seed(p)
+    p.add_argument("--out", default=None,
+                   help="JSON statistics path (default: print them)")
     p.set_defaults(func=cmd_netstats)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
+    args = build_parser().parse_args(argv)
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2**64:
         print("error: --seed must fit an unsigned 64-bit integer",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -78,10 +78,6 @@ class AdoptionTrajectory:
     def final_proportion(self) -> float:
         return float(self.proportions[-1])
 
-    @property
-    def ticks(self) -> np.ndarray:
-        return np.arange(len(self.proportions))
-
 
 def delta_utility(v_plus: float, params: DecisionParams) -> float:
     """Utility gain of adopting when a fraction v_plus of neighbors adopted."""

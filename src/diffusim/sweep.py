@@ -193,7 +193,8 @@ def run_once(config: SimConfig) -> SweepRecord:
     The network and seeding plan come from config.realize(). A trajectory
     that cannot be fitted raises DegenerateTrajectory; a fit that stops
     without converging does not raise, and the record carries whatever the
-    fitter returned. saturation_tick is -1 when the run never saturated.
+    fitter returned. saturation_tick is -1 when the run never saturated;
+    takeoff is NaN when the fitted q is 0, where no takeoff time exists.
     """
     net, plan, _ = config.realize()
     traj = simulate(
@@ -206,7 +207,7 @@ def run_once(config: SimConfig) -> SweepRecord:
         p=fit.params.p,
         q=fit.params.q,
         r_squared=fit.r_squared,
-        takeoff=takeoff_time(fit.params),
+        takeoff=takeoff_time(fit.params) if fit.params.q > 0 else math.nan,
         saturation_tick=(
             traj.saturated_at if traj.saturated_at is not None else NOT_SATURATED
         ),
@@ -387,9 +388,6 @@ class RoiReport:
     delta_gain: float
     adoption_base: float
     adoption_boosted: float
-
-    def __bool__(self) -> bool:
-        return self.exceeds
 
 
 def roi_check(

@@ -11,7 +11,6 @@ from diffusim.bass import (
     BassParams,
     bass_curve,
     bass_ode_solve,
-    shape_ratio,
     takeoff_is_degenerate,
     takeoff_time,
 )
@@ -224,11 +223,3 @@ def test_takeoff_reference_grid_regression(reference_grid):
         if rel >= 1e-5:
             worse_than_1e5.append(row)
     assert len(worse_than_1e5) <= 1
-
-
-# --- shape_ratio -----------------------------------------------------------
-
-def test_shape_ratio():
-    assert shape_ratio(BassParams(0.01, 0.4)) == pytest.approx(40.0)
-    assert shape_ratio(ROW1) == pytest.approx(43.75, abs=0.01)
-    assert shape_ratio(BassParams(0.05, 0.0)) == 0.0

@@ -9,7 +9,7 @@ import pytest
 from diffusim.calibrate import fit_bass, read_trajectory_csv
 from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from diffusim.seeding import Pattern
-from diffusim.sweep import default_grid, read_sweep_csv, run_sweep
+from diffusim.sweep import default_grid, manifest_path, read_sweep_csv, run_sweep
 
 SMALL_GRID = {
     "rows": 40,
@@ -143,6 +143,11 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     assert manifest["master_seed"] == 7
     assert str(out) in manifest["outputs"]
     assert manifest["parameters"]["gamma"] == 60
+    assert manifest["parameters"]["sigma"] == "uniform"
+    assert set(manifest["parameters"]) == {
+        "config_file", "rows", "cols", "k", "delta_u", "alpha", "sigma",
+        "p_r", "gamma", "innovator_fraction", "max_ticks",
+    }
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, capsys):
@@ -225,6 +230,17 @@ def test_too_small_lattice_names_the_key(tmp_path, capsys, monkeypatch,
     assert "rows" in err
 
 
+@pytest.mark.parametrize("value", [30.9, True])
+def test_integer_config_key_takes_only_integers(tmp_path, capsys, monkeypatch,
+                                                 value):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "sim.json", {**SMALL_SIM, "rows": value})
+    code, _, err = run_cli(capsys, "simulate", config,
+                           "--out", str(tmp_path / "traj.csv"))
+    assert code == EXIT_CONFIG
+    assert "config key 'rows' must be an integer" in err
+
+
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     config = write_json(tmp_path / "sim.json", {**SMALL_SIM, "typo_key": 1})
     code, _, err = run_cli(capsys, "simulate", config)
@@ -270,6 +286,12 @@ def test_sweep_restricted_grid(tmp_path, capsys):
     assert (out / "envelope_k8_du0.8_uniform.csv").exists()
     manifest = json.loads((out / "sweep.csv.manifest.json").read_text())
     assert manifest["parameters"]["gamma_levels"] == [10, 40]
+    assert manifest["parameters"]["sigma_levels"] == ["uniform"]
+    assert set(manifest["parameters"]) == {
+        "config_file", "rows", "cols", "alpha", "max_ticks", "k_levels",
+        "delta_u_levels", "sigma_levels", "p_r_levels", "gamma_levels",
+        "replications", "jobs", "envelopes_skipped_too_few_points",
+    }
     assert len(manifest["outputs"]) == 2
 
 
@@ -344,6 +366,20 @@ def test_sweep_bad_sigma_level_names_the_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", str(config))
     assert code == EXIT_CONFIG
     assert "config key 'sigma_levels' must be one of" in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [(["sweep", "grid.json", "--replications", "0"], "--replications"),
+     (["netstats", "--sample", "0"], "--sample")],
+    ids=["replications", "sample"],
+)
+def test_count_below_one_is_a_usage_error(capsys, monkeypatch, argv, named):
+    _no_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
 
 
 # ---- envelope ----
@@ -432,6 +468,24 @@ def test_envelope_bad_sigma_names_the_argument(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "argument --sigma must be one of" in err
     assert "config key" not in err
+
+
+def test_commands_without_seed_record_a_null_seed(sweep_dir, tmp_path,
+                                                  capsys):
+    curve = tmp_path / "curve.csv"
+    fit = tmp_path / "fit.json"
+    hull = tmp_path / "env.csv"
+    for argv in (
+        ["bass", "0.03", "0.4", "--out", str(curve)],
+        ["fit", str(curve), "--out", str(fit)],
+        ["envelope", str(sweep_dir / "sweep.csv"), "--k", "8",
+         "--delta-u", "0.8", "--sigma", "uniform", "--out", str(hull)],
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+    for out in (curve, fit, hull):
+        manifest = json.loads(manifest_path(out).read_text())
+        assert manifest["master_seed"] is None
 
 
 # ---- roi ----
@@ -526,6 +580,25 @@ def test_netstats_writes_file_with_manifest(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out.read_text())["nodes"] == 400
     assert (tmp_path / "stats.json.manifest.json").exists()
+
+
+# ---- options a command does not take ----
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["takeoff", "0.1", "0.4", "--out", "x"],
+     ["roi", "--base-p", "0.01", "--base-q", "0.35", "--boost-p", "0.01",
+      "--boost-q", "0.45", "--t-star", "15", "--profit-per-adopter", "2.5",
+      "--investment", "0", "--seed", "1"],
+     ["fit", "trajectory.csv", "--seed", "1"]],
+    ids=["takeoff-out", "roi-seed", "fit-seed"],
+)
+def test_unused_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---- process-level behaviour ----

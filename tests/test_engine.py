@@ -206,7 +206,6 @@ class TestTrajectoryType:
         )
         assert traj.adopter_counts.tolist() == [0, 2, 8]
         assert traj.final_proportion == 1.0
-        assert traj.ticks.tolist() == [0, 1, 2]
 
 
 class TestSimulateBasics:

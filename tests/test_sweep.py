@@ -179,6 +179,21 @@ class TestRunSweep:
         assert math.isnan(record.p) and math.isnan(record.q)
         assert record.saturation_tick == NOT_SATURATED
 
+    def test_fit_at_q_zero_keeps_a_row_without_takeoff(self, tmp_path):
+        # at delta_u = -1 no imitator adopts, so the fit lands on its q = 0
+        # bound, where no takeoff time exists
+        (record,) = run_sweep([small_config(delta_u=-1.0, gamma=1000)])
+        assert record.q == 0.0 and math.isnan(record.takeoff)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([record], path)
+        manifest_path(path).write_text(json.dumps({"parameters": {
+            "rows": 30, "cols": 30, "alpha": 0.5, "max_ticks": 300,
+        }}))
+        (loaded,) = read_sweep_csv(path)
+        assert loaded.config == record.config
+        assert (loaded.p, loaded.q) == (record.p, record.q)
+        assert math.isnan(loaded.takeoff)
+
     def test_other_errors_propagate(self, monkeypatch):
         # a fault in a layer must abort the sweep, not become a NaN row
         def broken(net, p_r, rng):
@@ -347,7 +362,7 @@ class TestRoiCheck:
             base, base, self.population, t_star=10.0, profit_per_adopter=1.0,
             investment=0.0, roi_min=0.0,
         )
-        assert not report
+        assert not report.exceeds
         assert report.delta_gain == 0.0
 
     def test_arithmetic_example_delta_fifty(self):
