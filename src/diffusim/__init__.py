@@ -18,13 +18,13 @@ from diffusim.calibrate import (
     FitResult,
     fit_bass,
     fit_window,
-    read_trajectory_csv,
 )
 from diffusim.engine import (
     AdoptionTrajectory,
     DecisionParams,
     adoption_threshold,
     delta_utility,
+    read_trajectory_csv,
     simulate,
     write_trajectory_csv,
 )

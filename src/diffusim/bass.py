@@ -63,7 +63,7 @@ def bass_curve(params: BassParams, t):
         Proportion(s) in [0, 1); float for scalar input, ndarray otherwise.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):  # NaN fails this too
         raise ValueError("t must be >= 0")
     n, _ = _curve(params.p, params.q, t_arr)
     if np.isscalar(t) or t_arr.ndim == 0:

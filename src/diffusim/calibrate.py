@@ -9,7 +9,7 @@ fit.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -49,19 +49,8 @@ class FitResult:
     q_at_bound: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.params.p,
-                "q": self.params.q,
-                "r_squared": self.r_squared,
-                "residual_sum": self.residual_sum,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "p_at_bound": self.p_at_bound,
-                "q_at_bound": self.q_at_bound,
-            },
-            indent=2,
-        )
+        fields = dataclasses.asdict(self)
+        return json.dumps({**fields.pop("params"), **fields}, indent=2)
 
 
 def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
@@ -187,32 +176,3 @@ def jacobian_check(params: BassParams, t: float) -> tuple[float, float]:
     ) / (2 * h)
     return float(dn_dp[0] - fd_p), float(dn_dq[0] - fd_q)
 
-
-def read_trajectory_csv(path) -> AdoptionTrajectory:
-    """Load a trajectory from CSV with header tick,proportion (an extra
-    adopters column, as written by the engine export, is accepted)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        try:
-            tick_col = header.index("tick")
-            prop_col = header.index("proportion")
-        except ValueError as exc:
-            raise ValueError(f"missing tick/proportion columns in {header}") from exc
-        ticks = []
-        props = []
-        for row in reader:
-            if not row:
-                continue
-            ticks.append(int(row[tick_col]))
-            props.append(float(row[prop_col]))
-    if ticks != list(range(len(ticks))):
-        raise ValueError("ticks must be consecutive from 0")
-    props_arr = np.asarray(props, dtype=float)
-    saturated = int(np.argmax(props_arr >= 1.0)) if np.any(props_arr >= 1.0) else None
-    # population unknown from proportions alone; use denominator 1
-    return AdoptionTrajectory(
-        proportions=props_arr,
-        population=1,
-        saturated_at=saturated,
-    )

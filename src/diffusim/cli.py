@@ -32,8 +32,13 @@ import numpy as np
 
 import diffusim
 from diffusim.bass import BassParams, bass_curve, takeoff_is_degenerate, takeoff_time
-from diffusim.calibrate import DegenerateTrajectory, fit_bass, read_trajectory_csv
-from diffusim.engine import DecisionParams, simulate, write_trajectory_csv
+from diffusim.calibrate import DegenerateTrajectory, fit_bass
+from diffusim.engine import (
+    DecisionParams,
+    read_trajectory_csv,
+    simulate,
+    write_trajectory_csv,
+)
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
@@ -267,7 +272,7 @@ def cmd_bass(args) -> int:
         return EXIT_OK
     if args.t_max < 0:
         raise ConfigError("argument --t-max must be >= 0")
-    ticks = np.arange(int(args.t_max) + 1)
+    ticks = np.arange(args.t_max + 1)
     values = bass_curve(params, ticks.astype(float))
     with open(args.out, "w", newline="") as fh:
         fh.write("tick,proportion\n")
@@ -294,12 +299,9 @@ def cmd_roi(args) -> int:
                     args.base_p, args.base_q)
     boost = _checked("arguments --boost-p/--boost-q", BassParams,
                      args.boost_p, args.boost_q)
-    report = _checked(
-        "arguments --base-q/--boost-q/--t-star", roi_check,
-        base, boost, lattice.node_count, t_star=args.t_star,
-        profit_per_adopter=args.profit_per_adopter,
-        investment=args.investment, roi_min=args.roi_min,
-    )
+    report = _checked("roi arguments", roi_check, base, boost, lattice.node_count,
+                      t_star=args.t_star, profit_per_adopter=args.profit_per_adopter,
+                      investment=args.investment, roi_min=args.roi_min)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=float)
     p.add_argument("--t", type=float, default=None,
                    help="single time point (prints the value)")
-    p.add_argument("--t-max", type=float, default=50,
+    p.add_argument("--t-max", type=int, default=50,
                    help="inclusive end of the integer time grid CSV")
     p.add_argument("--out", default="bass.csv", help="time grid CSV path")
     p.set_defaults(func=cmd_bass)

@@ -63,6 +63,8 @@ class AdoptionTrajectory:
 
     def __post_init__(self) -> None:
         props = np.asarray(self.proportions, dtype=float)
+        if len(props) == 0 or not np.all((props >= 0.0) & (props <= 1.0)):
+            raise ValueError("adoption proportions must be non-empty and in [0, 1]")
         if props[0] != 0.0:
             raise ValueError("trajectory must start at proportion 0")
         if np.any(np.diff(props) < 0):
@@ -124,6 +126,18 @@ def _gather_neighbors(net: SocialNetwork, nodes: np.ndarray) -> np.ndarray:
         starts, counts
     )
     return net.indices[idx]
+
+
+def _adopt(
+    net: SocialNetwork, nodes: np.ndarray, adopted: np.ndarray, counts: np.ndarray
+) -> int:
+    """Mark `nodes` adopted and add one to each of their neighbors' adopter
+    counts, in place; returns len(nodes)."""
+    if len(nodes):
+        adopted[nodes] = True
+        touched = _gather_neighbors(net, nodes.astype(np.int64))
+        counts += np.bincount(touched, minlength=net.node_count)
+    return len(nodes)
 
 
 def _random_sequential_pass(
@@ -254,25 +268,14 @@ def simulate(
             # decisions read start-of-tick state: counts not yet including
             # this tick's seeds or adopters
             deciders = np.flatnonzero(eligible & (counts >= thresholds))
-            newly = np.concatenate((seeds, deciders))
-            adopted[newly] = True
             eligible[deciders] = False
-            if len(newly):
-                touched = _gather_neighbors(net, newly.astype(np.int64))
-                counts += np.bincount(touched, minlength=n)
-            adopted_total += len(newly)
+            delta = _adopt(net, np.concatenate((seeds, deciders)), adopted, counts)
         else:
-            adopted[seeds] = True
-            adopted_total += len(seeds)
-            if len(seeds):
-                touched = _gather_neighbors(net, seeds.astype(np.int64))
-                counts += np.bincount(touched, minlength=n)
-            adopted_total += _random_sequential_pass(
+            delta = _adopt(net, seeds, adopted, counts)
+            delta += _random_sequential_pass(
                 net, thresholds, counts, eligible, adopted, rng
             )
-
-        delta = adopted_total - round(proportions[-1] * n)
-        assert delta >= 0, "adoption must be irreversible"
+        adopted_total += delta
         proportions.append(adopted_total / n)
 
         if on_tick is not None:
@@ -305,3 +308,21 @@ def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:
         writer.writerow(["tick", "adopters", "proportion"])
         for tick, (count, prop) in enumerate(zip(counts, traj.proportions)):
             writer.writerow([tick, int(count), repr(float(prop))])
+
+
+def read_trajectory_csv(path) -> AdoptionTrajectory:
+    """Load a trajectory from CSV with header tick,proportion (an extra
+    adopters column, as write_trajectory_csv writes, is accepted); its
+    population, unknown from proportions alone, is recorded as 1."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        header = reader.fieldnames or []  # None when the file is empty
+        if "tick" not in header or "proportion" not in header:
+            raise ValueError(f"missing tick/proportion columns in {header}")
+        rows = [(int(row["tick"]), float(row["proportion"])) for row in reader]
+    if [tick for tick, _ in rows] != list(range(len(rows))):
+        raise ValueError("ticks must be consecutive from 0")
+    props = np.asarray([prop for _, prop in rows], dtype=float)
+    full = np.flatnonzero(props >= 1.0)
+    return AdoptionTrajectory(props, population=1,
+                              saturated_at=int(full[0]) if len(full) else None)

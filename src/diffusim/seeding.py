@@ -92,39 +92,29 @@ def place_innovators(
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
-    if pattern is Pattern.COMPACT:
-        order = _cells_by_distance(spec.rows, spec.cols, spec.rows // 2, spec.cols // 2)
-        return order[:count].copy()
-
-    if pattern is Pattern.INTERMEDIATE:
-        centers = [
-            (spec.rows // 2, spec.cols // 2),
-            (spec.rows // 4, spec.cols // 4),
-            (spec.rows // 4, 3 * spec.cols // 4),
-            (3 * spec.rows // 4, spec.cols // 4),
-            (3 * spec.rows // 4, 3 * spec.cols // 4),
-        ]
-        sizes = [count // 5 + count % 5] + [count // 5] * 4
-        clusters = []
-        for (cr, cc), size in zip(centers, sizes):
-            if size == 0:
-                clusters.append(np.empty(0, dtype=np.int32))
-                continue
-            order = _cells_by_distance(spec.rows, spec.cols, cr, cc)
-            clusters.append(order[:size].copy())
-        all_cells = np.concatenate(clusters)
-        if len(np.unique(all_cells)) != len(all_cells):
-            raise ValueError(
-                "intermediate clusters overlap; lattice too small to separate them"
-            )
-        return all_cells
-
     if pattern is Pattern.UNIFORM:
         if rng is None:
             raise ValueError("uniform placement requires an rng")
         return rng.choice(n, size=count, replace=False).astype(np.int32)
 
-    raise ValueError(f"unknown pattern: {pattern!r}")
+    rows, cols = spec.rows, spec.cols
+    centers = [(rows // 2, cols // 2)]
+    sizes = [count]
+    if pattern is Pattern.INTERMEDIATE:
+        # then the four quadrant centers, row-major
+        centers += [(a * rows // 4, b * cols // 4) for a in (1, 3) for b in (1, 3)]
+        sizes = [count // 5 + count % 5] + [count // 5] * 4
+    elif pattern is not Pattern.COMPACT:
+        raise ValueError(f"unknown pattern: {pattern!r}")
+    cells = np.concatenate([
+        _cells_by_distance(rows, cols, cr, cc)[:size]
+        for (cr, cc), size in zip(centers, sizes)
+    ])
+    if len(np.unique(cells)) != len(cells):
+        raise ValueError(
+            "intermediate clusters overlap; lattice too small to separate them"
+        )
+    return cells
 
 
 def schedule_innovators(
@@ -155,5 +145,5 @@ def build_plan(
 def default_innovator_count(spec: LatticeSpec, fraction: float = 0.025) -> int:
     """Round the innovator quota (default 2.5% of the population)."""
     if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise ValueError(f"innovator_fraction must be in (0, 1], got {fraction}")
     return max(1, math.floor(spec.node_count * fraction + 0.5))

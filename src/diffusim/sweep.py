@@ -86,18 +86,11 @@ class SimConfig:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
         if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not math.isfinite(self.delta_u):
-            raise ValueError("delta_u must be finite")
+        DecisionParams(self.delta_u, self.alpha)  # checks alpha and delta_u
         if self.replication < 0:
             raise ValueError("replication must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
-        if not 0.0 < self.innovator_fraction <= 1.0:
-            raise ValueError(
-                f"innovator_fraction must be in (0, 1], got {self.innovator_fraction}"
-            )
         count = default_innovator_count(self.lattice, self.innovator_fraction)
         last_tick = last_activation_tick(count, self.gamma)
         if self.max_ticks < last_tick:
@@ -409,8 +402,13 @@ def roi_check(
     strict: a difference exactly equal to roi_min does not pass.
 
     Raises:
-        ValueError: t_star at or before either strategy's takeoff time.
+        ValueError: t_star, profit_per_adopter, investment or roi_min not
+            finite, or t_star at or before either strategy's takeoff time.
     """
+    for name, value in (("t_star", t_star), ("profit_per_adopter", profit_per_adopter),
+                        ("investment", investment), ("roi_min", roi_min)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     t_base = takeoff_time(base)
     t_boost = takeoff_time(boosted)
     if t_star <= max(t_base, t_boost):

@@ -3,16 +3,26 @@
 tests/data/reference_grid.tsv holds the 360 published (k, delta_u, sigma, P_r,
 gamma) -> (p, q, r_squared, takeoff) rows verbatim from the source document,
 decimal commas included; load_reference_grid normalizes them to floats.
+
+The checkout's `src` is put first on PYTHONPATH, so the tests that start
+`python -m diffusim.cli` in a child process import the same package as the
+tests themselves without an installed copy.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 from typing import NamedTuple
 
 import pytest
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+)
 
 
 class ReferenceRow(NamedTuple):

@@ -15,9 +15,14 @@ from diffusim.calibrate import (
     fit_bass,
     fit_window,
     jacobian_check,
-    read_trajectory_csv,
 )
-from diffusim.engine import AdoptionTrajectory, DecisionParams, simulate, write_trajectory_csv
+from diffusim.engine import (
+    AdoptionTrajectory,
+    DecisionParams,
+    read_trajectory_csv,
+    simulate,
+    write_trajectory_csv,
+)
 from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
 from diffusim.seeding import Pattern, build_plan
 

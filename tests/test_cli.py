@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from diffusim.calibrate import fit_bass, read_trajectory_csv
+from diffusim.calibrate import fit_bass
 from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from diffusim.engine import read_trajectory_csv
 from diffusim.seeding import Pattern
 from diffusim.sweep import default_grid, manifest_path, read_sweep_csv, run_sweep
 
@@ -81,6 +82,22 @@ def test_bass_rejects_negative_time(capsys):
     assert "--t" in err
 
 
+def test_bass_rejects_nan_time(capsys):
+    code, _, err = run_cli(capsys, "bass", "0.03", "0.4", "--t", "nan")
+    assert code == EXIT_CONFIG
+    assert "--t" in err
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "50.7"])
+def test_bass_rejects_non_integer_t_max(tmp_path, capsys, t_max):
+    with pytest.raises(SystemExit) as exc:
+        main(["bass", "0.03", "0.4", "--t-max", t_max,
+              "--out", str(tmp_path / "curve.csv")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--t-max" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_bass_rejects_nonpositive_p(capsys):
     code, _, err = run_cli(capsys, "bass", "0", "0.4", "--t", "1")
     assert code == EXIT_CONFIG
@@ -107,6 +124,43 @@ def test_fit_missing_file_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(tmp_path / "nope.csv"))
     assert code == EXIT_CONFIG
     assert "nope.csv" in err
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "tick,proportion\n",
+    "tick,proportion\n0,0.0\n1,nan\n2,0.3\n3,0.5\n4,0.9\n",
+    "tick,proportion\n0,0.0\n1\n",
+], ids=["empty", "header-only", "nan-proportion", "short-row"])
+def test_fit_malformed_trajectory_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "fit", str(path))
+    assert code == EXIT_CONFIG
+    assert f"malformed trajectory {path}" in err
+
+
+def test_fit_out_text_is_pinned(tmp_path, capsys):
+    # key order, indentation and float repr of the fit report
+    path = tmp_path / "traj.csv"
+    path.write_text("tick,proportion\n" + "".join(
+        f"{t},{v}\n" for t, v in enumerate(
+            [0.0, 0.01, 0.03, 0.07, 0.15, 0.3, 0.5, 0.7, 0.85, 0.93, 0.97, 0.99])
+    ))
+    out = tmp_path / "fit.json"
+    code, _, _ = run_cli(capsys, "fit", str(path), "--out", str(out))
+    assert code == EXIT_OK
+    assert out.read_text() == """{
+  "p": 0.005198605789163404,
+  "q": 0.8465690096205175,
+  "r_squared": 0.9999676062881436,
+  "residual_sum": 5.979771229652689e-05,
+  "iterations": 9,
+  "converged": true,
+  "p_at_bound": false,
+  "q_at_bound": false
+}
+"""
 
 
 def test_fit_malformed_header_is_config_error(tmp_path, capsys):
@@ -520,6 +574,23 @@ def test_roi_rejects_t_star_before_takeoff(capsys):
     )
     assert code == EXIT_CONFIG
     assert "t_star" in err
+
+
+@pytest.mark.parametrize(
+    "option", ["--t-star", "--profit-per-adopter", "--investment", "--roi-min"]
+)
+def test_roi_rejects_nan_argument(capsys, option):
+    values = {"--t-star": "15", "--profit-per-adopter": "2.5",
+              "--investment": "0", "--roi-min": "0", option: "nan"}
+    code, out, err = run_cli(
+        capsys, "roi",
+        "--base-p", "0.01", "--base-q", "0.35",
+        "--boost-p", "0.01", "--boost-q", "0.45",
+        *(item for pair in values.items() for item in pair),
+    )
+    assert code == EXIT_CONFIG
+    assert option[2:].replace("-", "_") in err
+    assert out == ""
 
 
 def test_roi_rejects_too_small_lattice(capsys):

@@ -196,6 +196,12 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             AdoptionTrajectory(np.array([0.0, 0.5, 0.4]), population=10, saturated_at=None)
 
+    @pytest.mark.parametrize("props", [[], [0.0, np.nan, 0.5], [0.0, 0.5, np.inf],
+                                       [0.0, 0.5, 1.4]])
+    def test_proportions_must_be_non_empty_and_in_unit_interval(self, props):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            AdoptionTrajectory(np.array(props), population=10, saturated_at=None)
+
     def test_saturated_requires_final_one(self):
         with pytest.raises(ValueError):
             AdoptionTrajectory(np.array([0.0, 0.5]), population=10, saturated_at=1)

@@ -73,6 +73,15 @@ def test_intermediate_remainder_goes_to_central_cluster():
     assert central == 1003 // 5 + 3
 
 
+@pytest.mark.parametrize("count", [1, 4])
+def test_intermediate_with_empty_quadrant_clusters_is_compact(count):
+    # fewer than five innovators all go to the central cluster
+    assert np.array_equal(
+        place_innovators(SPEC_200, Pattern.INTERMEDIATE, count),
+        place_innovators(SPEC_200, Pattern.COMPACT, count),
+    )
+
+
 def test_intermediate_overlap_rejected_on_crowded_lattice():
     # 10x10 with half the cells as innovators: radius-2 clusters around
     # centers 3 apart must collide

@@ -113,6 +113,14 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             small_config(seed=2**64)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 1.5), ("delta_u", math.nan), ("delta_u", math.inf),
+        ("innovator_fraction", 0.0), ("innovator_fraction", 1.5),
+    ])
+    def test_rejection_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
