@@ -56,7 +56,6 @@ from diffusim.sweep import (
     envelope,
     locate,
     median_by_cell,
-    nearest_micro,
     roi_check,
     run_once,
     run_sweep,
@@ -96,7 +95,6 @@ __all__ = [
     "fit_window",
     "locate",
     "median_by_cell",
-    "nearest_micro",
     "network_stats",
     "place_innovators",
     "read_trajectory_csv",

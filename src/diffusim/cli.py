@@ -33,12 +33,7 @@ import numpy as np
 import diffusim
 from diffusim.bass import BassParams, bass_curve, takeoff_is_degenerate, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.engine import (
-    DecisionParams,
-    read_trajectory_csv,
-    simulate,
-    write_trajectory_csv,
-)
+from diffusim.engine import read_trajectory_csv, write_trajectory_csv
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
@@ -195,11 +190,7 @@ def _sim_config(rows: int, cols: int, k: int, **fields) -> SimConfig:
 def cmd_simulate(args) -> int:
     values = _read_config(args.config, _SIMULATE_KEYS)
     run = _checked(f"config {args.config}", _sim_config, seed=args.seed, **values)
-    net, plan, _ = run.realize()
-    traj = simulate(
-        net, plan, DecisionParams(delta_u=run.delta_u, alpha=run.alpha),
-        max_ticks=run.max_ticks,
-    )
+    traj = run.simulate()
     write_trajectory_csv(traj, args.out)
     _write_manifest(args, args.out, {"config_file": args.config, **values})
     saturated = traj.saturated_at if traj.saturated_at is not None else "never"
@@ -299,6 +290,9 @@ def cmd_roi(args) -> int:
                     args.base_p, args.base_q)
     boost = _checked("arguments --boost-p/--boost-q", BassParams,
                      args.boost_p, args.boost_q)
+    # roi_check needs both takeoff times, and a q of 0 has none
+    for flag, params in (("--base-q", base), ("--boost-q", boost)):
+        _checked(f"argument {flag}", takeoff_time, params)
     report = _checked("roi arguments", roi_check, base, boost, lattice.node_count,
                       t_star=args.t_star, profit_per_adopter=args.profit_per_adopter,
                       investment=args.investment, roi_min=args.roi_min)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 
 class Neighborhood(enum.Enum):
@@ -354,7 +352,13 @@ def network_stats(
     `sample_size` uniformly sampled sources (every node when sample_size >=
     node_count, in which case no rng is needed). Clustering is the mean local
     coefficient over all nodes; nodes with degree < 2 contribute 0.
+
+    scipy is imported here, not at module level: nothing else in the
+    package uses it, so simulating, fitting and sweeping never load it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     n = net.node_count

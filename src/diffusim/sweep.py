@@ -23,7 +23,7 @@ import numpy as np
 
 from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.engine import DecisionParams, simulate
+from diffusim.engine import AdoptionTrajectory, DecisionParams, simulate
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
@@ -122,6 +122,19 @@ class SimConfig:
         plan = build_plan(self.lattice, self.sigma, count, self.gamma, rng)
         return net, plan, rng
 
+    def simulate(self) -> AdoptionTrajectory:
+        """Run this configuration: `realize()`, then the engine's
+        synchronous `simulate` for at most max_ticks ticks.
+
+        The engine is looked up as this module's `simulate` at each call,
+        so rebinding that one name (a test stub, perfbench's tracer) covers
+        every run of `diffusim simulate` and `diffusim sweep`."""
+        net, plan, _ = self.realize()
+        return simulate(
+            net, plan, DecisionParams(delta_u=self.delta_u, alpha=self.alpha),
+            max_ticks=self.max_ticks,
+        )
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -183,17 +196,13 @@ def derive_run_seed(master_seed: int, config_index: int, replication: int) -> in
 def run_once(config: SimConfig) -> SweepRecord:
     """Simulate one configuration and fit its trajectory.
 
-    The network and seeding plan come from config.realize(). A trajectory
-    that cannot be fitted raises DegenerateTrajectory; a fit that stops
-    without converging does not raise, and the record carries whatever the
-    fitter returned. saturation_tick is -1 when the run never saturated;
+    The trajectory comes from config.simulate(). A trajectory that cannot
+    be fitted raises DegenerateTrajectory; a fit that stops without
+    converging does not raise, and the record carries whatever the fitter
+    returned. saturation_tick is -1 when the run never saturated;
     takeoff is NaN when the fitted q is 0, where no takeoff time exists.
     """
-    net, plan, _ = config.realize()
-    traj = simulate(
-        net, plan, DecisionParams(delta_u=config.delta_u, alpha=config.alpha),
-        max_ticks=config.max_ticks,
-    )
+    traj = config.simulate()
     fit = fit_bass(traj)
     return SweepRecord(
         config=config,
@@ -353,22 +362,6 @@ def locate(point: tuple[float, float], env: Envelope) -> Location:
     if any(abs(c) <= BOUNDARY_TOL for c in crosses):
         return Location.BOUNDARY
     return Location.INSIDE
-
-
-def nearest_micro(
-    point: tuple[float, float], records: Sequence[SweepRecord]
-) -> SweepRecord:
-    """The record whose fitted (p, q) is closest to `point`, with each axis
-    normalized by the records' own p-range and q-range. Ties go to the
-    earlier record."""
-    if not records:
-        raise ValueError("records must be non-empty")
-    ps = np.asarray([r.p for r in records])
-    qs = np.asarray([r.q for r in records])
-    p_scale = float(ps.max() - ps.min()) or 1.0
-    q_scale = float(qs.max() - qs.min()) or 1.0
-    d2 = ((ps - point[0]) / p_scale) ** 2 + ((qs - point[1]) / q_scale) ** 2
-    return records[int(np.argmin(d2))]  # argmin returns the first minimum
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ def _no_runs(monkeypatch):
     def run_started(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr("diffusim.cli.simulate", run_started)
+    # both commands reach the engine through SimConfig.simulate
     monkeypatch.setattr("diffusim.sweep.simulate", run_started)
 
 
@@ -593,6 +593,19 @@ def test_roi_rejects_nan_argument(capsys, option):
     assert out == ""
 
 
+@pytest.mark.parametrize("option", ["--base-q", "--boost-q"])
+def test_roi_zero_q_names_its_strategy(capsys, option):
+    values = {"--base-q": "0.35", "--boost-q": "0.45", option: "0"}
+    code, out, err = run_cli(
+        capsys, "roi", "--base-p", "0.01", "--boost-p", "0.01",
+        *(item for pair in values.items() for item in pair),
+        "--t-star", "15", "--profit-per-adopter", "2.5", "--investment", "0",
+    )
+    assert code == EXIT_CONFIG
+    assert f"argument {option}:" in err
+    assert out == ""
+
+
 def test_roi_rejects_too_small_lattice(capsys):
     code, _, err = run_cli(
         capsys, "roi",
@@ -673,6 +686,43 @@ def test_unused_option_is_a_usage_error(capsys, argv):
 
 
 # ---- process-level behaviour ----
+
+
+_SCIPY_LOADS_ONLY_FOR_NETSTATS = """
+import json, sys
+from diffusim import cli
+from diffusim.network import LatticeSpec, Neighborhood, build_lattice, network_stats
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+config, out = sys.argv[1:]
+assert cli.main(["sweep", config, "--out", out]) == 0
+after_sweep = scipy_modules()
+stats = network_stats(build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE)), 25)
+print(json.dumps({"after_sweep": after_sweep,
+                  "after_netstats": scipy_modules(),
+                  "mean_degree": stats.mean_degree}))
+"""
+
+
+def test_sweep_loads_no_scipy_until_network_stats(tmp_path):
+    # a fresh interpreter, so that no other test has imported scipy already
+    config = write_json(tmp_path / "grid.json", {
+        "rows": 10, "cols": 10, "k_levels": [8], "delta_u_levels": [0.8],
+        "sigma_levels": ["uniform"], "p_r_levels": [0.04], "gamma_levels": [1],
+        "max_ticks": 100,
+    })
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS_ONLY_FOR_NETSTATS, config,
+         str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["after_sweep"] == []
+    assert "scipy.sparse.csgraph" in loaded["after_netstats"]
+    assert loaded["mean_degree"] == pytest.approx(2 * 72 / 25)
 
 
 def test_module_entry_point_version():

@@ -30,7 +30,6 @@ from diffusim.sweep import (
     locate,
     manifest_path,
     median_by_cell,
-    nearest_micro,
     read_empirical_csv,
     read_sweep_csv,
     roi_check,
@@ -324,41 +323,6 @@ class TestLocate:
 
     def test_point_on_edge_line_but_past_polygon(self):
         assert locate((5.0, 0.0), self.env) is Location.OUTSIDE
-
-
-class TestNearestMicro:
-    def test_exact_match_returns_that_record(self, reference_grid):
-        records = [record_from_reference(row) for row in reference_grid[:60]]
-        target = records[17]
-        assert nearest_micro((target.p, target.q), records) is target
-
-    def test_first_reference_row_lookup(self, reference_grid):
-        records = [record_from_reference(row) for row in reference_grid]
-        found = nearest_micro((0.0072863, 0.3187899), records)
-        key = cell_key(found)
-        assert key == (8, 0.6, "compact", 0.0, 125)
-
-    def test_tie_breaks_to_earlier_record(self):
-        config = small_config()
-        records = [
-            SweepRecord(config, 0.0, 0.5, 0.99, 5.0, 20),
-            SweepRecord(config, 0.2, 0.5, 0.99, 5.0, 20),
-            SweepRecord(config, 0.1, 0.0, 0.99, 5.0, 20),
-            SweepRecord(config, 0.1, 1.0, 0.99, 5.0, 20),
-        ]
-        found = nearest_micro((0.1, 0.5), records)
-        assert found is records[0]
-
-    def test_axis_normalization(self):
-        # p spread is 100x tighter than q spread; normalized distance must
-        # treat both axes equally
-        config = small_config()
-        records = [
-            SweepRecord(config, 0.010, 0.30, 0.99, 5.0, 20),
-            SweepRecord(config, 0.020, 1.00, 0.99, 5.0, 20),
-        ]
-        found = nearest_micro((0.019, 0.32), records)
-        assert found is records[0]
 
 
 class TestRoiCheck:
