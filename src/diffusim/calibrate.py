@@ -2,9 +2,10 @@
 
 Fits (p, q) by damped Gauss-Newton (Levenberg-Marquardt style adaptive
 damping) with the analytic Jacobian of the closed-form curve, box-projected
-to p in [1e-6, 1], q in [0, 1]. The fit window runs from tick 0 through the
-first saturated tick, so post-saturation flat tail ticks never influence the
-fit.
+to p in [1e-6, 1], q in [0, 1]. Each step solves the damped 2x2 normal
+equations in closed form, and each trial point evaluates the curve once.
+The fit window runs from tick 0 through the first saturated tick, so
+post-saturation flat tail ticks never influence the fit.
 """
 
 from __future__ import annotations
@@ -53,15 +54,23 @@ class FitResult:
         return json.dumps({**fields.pop("params"), **fields}, indent=2)
 
 
+def _jacobian(p: float, q: float, t: np.ndarray, e: np.ndarray, out: np.ndarray):
+    """Write (dn/dp, dn/dq) of the curve at E = exp(-(p+q)t) into out's two
+    rows: with s = p+q, D = p+qE and w = E/D^2,
+    dn/dp = w (q(1-E) + p s t) and dn/dq = p w (s t - (1-E))."""
+    dn_dp, dn_dq = out
+    st = (p + q) * t
+    one_minus_e = 1.0 - e
+    w = e / (p + q * e) ** 2
+    np.multiply(w, q * one_minus_e + p * st, out=dn_dp)
+    np.multiply(p * w, st - one_minus_e, out=dn_dq)
+    return out
+
+
 def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
     """The curve of `_curve` with its partial derivatives wrt p and q."""
     n, e = _curve(p, q, t)
-    denom = p + q * e
-    te = t * e
-    # d/dp [p(1-E)] = (1-E) + p t E ; d/dp denom = 1 - q t E
-    dn_dp = ((1.0 - e) + p * te) / denom - p * (1.0 - e) * (1.0 - q * te) / denom**2
-    # d/dq [p(1-E)] = p t E ; d/dq denom = E (1 - q t)
-    dn_dq = (p * te) / denom - p * (1.0 - e) * e * (1.0 - q * t) / denom**2
+    dn_dp, dn_dq = _jacobian(p, q, t, e, np.empty((2, *t.shape)))
     return n, dn_dp, dn_dq
 
 
@@ -107,29 +116,32 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         p0, q0 = init.p, init.q
     p, q = _clip(p0, q0)
 
-    def sse(pv: float, qv: float) -> float:
-        resid = y - _curve(pv, qv, t)[0]
-        return float(resid @ resid)
+    def trial(pv: float, qv: float):
+        n, e = _curve(pv, qv, t)
+        resid = y - n
+        return resid, e, float(resid @ resid)
 
-    current = sse(p, q)
+    resid, e, current = trial(p, q)
+    j = np.empty((2, len(y)))
     lam = 1e-3
     converged = False
     iteration = 0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        n, dn_dp, dn_dq = _curve_and_jacobian(p, q, t)
-        j = np.column_stack((dn_dp, dn_dq))
-        jtj = j.T @ j
-        jtr = j.T @ (y - n)
+        _jacobian(p, q, t, e, j)
+        (a, b), (_, c) = (j @ j.T).tolist()
+        g0, g1 = (j @ resid).tolist()
         # raise the damping until a step does not increase the SSE
         while lam <= MAX_DAMPING:
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-14))
-            try:
-                delta = np.linalg.solve(damped, jtr)
-            except np.linalg.LinAlgError:
+            d0 = a + lam * max(a, 1e-14)
+            d1 = c + lam * max(c, 1e-14)
+            det = d0 * d1 - b * b
+            if not det > 0.0:  # singular, or NaN
                 lam *= 10.0
                 continue
-            cand_p, cand_q = _clip(p + float(delta[0]), q + float(delta[1]))
-            cand_sse = sse(cand_p, cand_q)
+            cand_p, cand_q = _clip(
+                p + (d1 * g0 - b * g1) / det, q + (d0 * g1 - b * g0) / det
+            )
+            cand_resid, cand_e, cand_sse = trial(cand_p, cand_q)
             if cand_sse <= current:
                 break
             lam *= 10.0
@@ -140,6 +152,7 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         step = math.hypot(cand_p - p, cand_q - q)
         scale = math.hypot(p, q)
         p, q, current = cand_p, cand_q, cand_sse
+        resid, e = cand_resid, cand_e
         lam = max(lam * 0.25, 1e-12)
         if step <= STEP_TOL * max(scale, 1e-30):
             converged = True

@@ -1,10 +1,11 @@
 """Least-squares calibration: recovery, Jacobian, windows, I/O."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffusim.bass import BassParams, _curve, bass_curve
@@ -17,6 +18,7 @@ from diffusim.calibrate import (
     jacobian_check,
 )
 from diffusim.engine import (
+    RANDOM_SEQUENTIAL,
     AdoptionTrajectory,
     DecisionParams,
     read_trajectory_csv,
@@ -25,6 +27,7 @@ from diffusim.engine import (
 )
 from diffusim.network import LatticeSpec, Neighborhood, build_lattice, rewire
 from diffusim.seeding import Pattern, build_plan
+from diffusim.sweep import default_grid, derive_run_seed
 
 MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
 
@@ -86,6 +89,82 @@ class TestJacobian:
         dp, dq = jacobian_check(BassParams(0.02, 0.4), 0.0)
         assert dp == pytest.approx(0.0, abs=1e-9)
         assert dq == pytest.approx(0.0, abs=1e-9)
+
+
+def quotient_rule_terms(p, q, t):
+    """dn/dp and dn/dq of n = p(1-E)/(p+qE) by the quotient rule, each as
+    the two terms whose difference it is; independent of the simplified
+    form the fit evaluates."""
+    e = np.exp(-(p + q) * t)
+    denom = p + q * e
+    te = t * e
+    # d/dp [p(1-E)] = (1-E) + p t E ; d/dp denom = 1 - q t E
+    dn_dp = ((1.0 - e) + p * te) / denom, p * (1.0 - e) * (1.0 - q * te) / denom**2
+    # d/dq [p(1-E)] = p t E ; d/dq denom = E (1 - q t)
+    dn_dq = (p * te) / denom, p * (1.0 - e) * e * (1.0 - q * t) / denom**2
+    return dn_dp, dn_dq
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1e-6, 1.0),
+    q=st.floats(0.0, 1.0),
+    ticks=st.integers(1, 301),
+)
+def test_simplified_jacobian_matches_quotient_rule(p, q, ticks):
+    # the tolerance is relative to the oracle's terms, which equals the
+    # column's max-abs unless they cancel: at (p+q)t << 1 the quotient rule
+    # subtracts two terms near 1 and loses digits the simplified form keeps
+    t = np.arange(ticks, dtype=float)
+    _, dn_dp, dn_dq = _curve_and_jacobian(p, q, t)
+    for got, (plus, minus) in zip((dn_dp, dn_dq), quotient_rule_terms(p, q, t)):
+        scale = float(np.max(np.abs(plus) + np.abs(minus)))
+        assert np.max(np.abs(got - (plus - minus))) <= 1e-12 * scale
+
+
+def noisy_bass_trajectory(p, q, population, ticks, seed):
+    """Adoption among `population` agents whose adoption times are drawn
+    from the curve's distribution: a monotone curve with sampling noise."""
+    u = np.random.default_rng(seed).random(population)
+    # invert n(t) = u: E = (1-u)/(1+uq/p), t = -ln(E)/(p+q)
+    times = np.sort(-np.log((1.0 - u) / (1.0 + u * q / p)) / (p + q))
+    t = np.arange(ticks, dtype=float)
+    y = np.searchsorted(times, t, side="right") / population
+    return AdoptionTrajectory(y, population=population, saturated_at=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(0.002, 0.05),
+    q=st.floats(0.1, 0.8),
+    population=st.integers(200, 5000),
+    ticks=st.integers(30, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interior_optimum_matches_least_squares_oracle(p, q, population, ticks, seed):
+    # at an interior optimum the fit's SSE is no higher than a trust-region
+    # solver's at tight tolerances
+    from scipy.optimize import least_squares
+
+    traj = noisy_bass_trajectory(p, q, population, ticks, seed)
+    res = fit_bass(traj)
+    assume(res.converged and not (res.p_at_bound or res.q_at_bound))
+    y = fit_window(traj)
+    t = np.arange(len(y), dtype=float)
+
+    def residuals(x):
+        return _curve(x[0], x[1], t)[0] - y
+
+    def jacobian(x):
+        return np.column_stack(_curve_and_jacobian(x[0], x[1], t)[1:])
+
+    oracle = least_squares(
+        residuals, [max(float(y[1]), 1e-3), 0.5], jac=jacobian,
+        bounds=([1e-6, 0.0], [1.0, 1.0]), method="trf",
+        ftol=1e-15, xtol=1e-15, gtol=1e-15,
+    )
+    r = residuals(oracle.x)
+    assert res.residual_sum <= float(r @ r) * (1.0 + 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,6 +243,25 @@ class TestBounds:
         assert res.params.q == 1.0
         assert res.q_at_bound
         assert not res.p_at_bound
+
+    def test_random_sequential_run_crawls_along_q_bound(self):
+        # the damped step keeps pushing q out of the box, so the clipped step
+        # moves p only a little each iteration and the fit stops at the cap
+        index = 355
+        config = default_grid()[index]
+        assert (config.k, config.delta_u, config.sigma, config.p_r, config.gamma) == (
+            4, 0.8, Pattern.UNIFORM, 0.04, 125,
+        )
+        config = dataclasses.replace(config, seed=derive_run_seed(0, index, 0))
+        net, plan, rng = config.realize()
+        traj = simulate(
+            net, plan, DecisionParams(delta_u=config.delta_u, alpha=config.alpha),
+            max_ticks=500, rng=rng, update=RANDOM_SEQUENTIAL,
+        )
+        res = fit_bass(traj)
+        assert not res.converged
+        assert res.iterations == 500
+        assert res.q_at_bound
 
 
 class TestSerialization:
