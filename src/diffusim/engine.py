@@ -13,6 +13,12 @@ seeds activate, one `rng.permutation` is drawn over the eligible agents (in
 index order); an agent adopts iff its adopter-neighbor count at its turn
 reaches its threshold, so adoptions count for later-ranked agents in the
 same tick.
+
+An agent's state is one int32 countdown, `need`: its threshold minus its
+adopter neighbors so far; it adopts once `need` <= 0. Innovators and adopters
+hold `_DONE`, which no later decrement brings to 0. A synchronous tick is one
+compare, one neighbor gather and one scatter. The countdown changes neither
+the decision rule nor the random-sequential contract.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from diffusim.seeding import SeedingPlan
 
 SYNCHRONOUS = "synchronous"
 RANDOM_SEQUENTIAL = "random_sequential"
+_DONE = np.iinfo(np.int32).max  # `need` of innovators and adopters
+_ONE = np.int32(1)  # a Python int sends ufunc.at on int32 down a slow path
 
 
 @dataclass(frozen=True)
@@ -118,84 +126,70 @@ def _gather_neighbors(net: SocialNetwork, nodes: np.ndarray) -> np.ndarray:
     """Concatenate the neighbor lists of `nodes` (repeat-offset gather)."""
     starts = net.indptr[nodes]
     counts = net.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=net.indices.dtype)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    idx = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(
-        starts, counts
-    )
-    return net.indices[idx]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return net.indices[np.repeat(starts - ends + counts, counts) + np.arange(total)]
 
 
 def _adopt(
-    net: SocialNetwork, nodes: np.ndarray, adopted: np.ndarray, counts: np.ndarray
+    net: SocialNetwork, nodes: np.ndarray, adopted: np.ndarray, need: np.ndarray
 ) -> int:
-    """Mark `nodes` adopted and add one to each of their neighbors' adopter
-    counts, in place; returns len(nodes)."""
-    if len(nodes):
-        adopted[nodes] = True
-        touched = _gather_neighbors(net, nodes.astype(np.int64))
-        counts += np.bincount(touched, minlength=net.node_count)
+    """Mark `nodes` adopted and take one off each of their neighbors' `need`,
+    in place; returns len(nodes)."""
+    adopted[nodes] = True
+    np.subtract.at(need, _gather_neighbors(net, nodes), _ONE)
     return len(nodes)
 
 
 def _random_sequential_pass(
-    net: SocialNetwork,
-    thresholds: np.ndarray,
-    counts: np.ndarray,
-    eligible: np.ndarray,
-    adopted: np.ndarray,
-    rng: np.random.Generator,
+    net: SocialNetwork, need: np.ndarray, adopted: np.ndarray,
+    innovator: np.ndarray, rng: np.random.Generator,
 ) -> int:
     """One tick's decisions in rng-permuted order, applied immediately.
 
-    Gives what visiting the eligible agents one by one, in the order of one
-    `rng.permutation(len(candidates))`, and adopting each whose count has
-    reached its threshold at its turn gives, but computed in waves. In that
-    loop an agent adopts iff its start-of-tick count plus the number of its
-    neighbors that adopt earlier in the order reaches its threshold. The
-    definition refers only to earlier-ranked agents, so it has exactly one
-    solution. `seen` holds each agent's start count plus its earlier-ranked
-    neighbors found to adopt so far. Wave 0 is the agents ready at the start
-    of the tick; each later wave is the still-eligible agents whose `seen`
-    has just reached their threshold. Only adopters are counted, so every
-    wave member belongs to the solution. By induction on rank every member
-    of the solution joins a wave: it is ready at the start, or it joins the
-    wave after the one holding the last of its earlier-ranked adopter
-    neighbors. So the waves stop exactly at the solution. `counts` gains
-    every adopter's neighbors, as the loop's increments leave it at the end
-    of the tick.
+    Gives what visiting the eligible agents (neither innovators nor adopted)
+    one by one, in the order of one `rng.permutation(len(candidates))`, and
+    adopting each whose `need` has reached 0 at its turn gives, but computed
+    in waves. In that loop an agent adopts iff its start-of-tick `need` minus
+    the number of its neighbors that adopt earlier in the order is at most 0.
+    The definition refers only to earlier-ranked agents, so it has exactly
+    one solution. `seen` holds each agent's start `need` minus its
+    earlier-ranked neighbors found to adopt so far. Wave 0 is the agents
+    ready at the start of the tick; each later wave is the agents whose
+    `seen` has just reached 0 (wave members leave at `_DONE`). Only adopters
+    are counted, so every wave member belongs to the solution. By induction
+    on rank every member of the solution joins a wave: it is ready at the
+    start, or it joins the wave after the one holding the last of its
+    earlier-ranked adopter neighbors. So the waves stop exactly at the
+    solution. `need` loses every adopter's neighbors, as the loop's
+    decrements leave it at the end of the tick.
 
-    Updates `counts`, `eligible` and `adopted` in place; returns the number
-    of agents that adopted.
+    Updates `need` and `adopted` in place; returns the number of agents that
+    adopted.
     """
     n = net.node_count
-    candidates = np.flatnonzero(eligible)
+    candidates = np.flatnonzero(~(adopted | innovator))
     rank = np.full(n, n, dtype=np.int64)  # agents not deciding rank last
     rank[candidates[rng.permutation(len(candidates))]] = np.arange(len(candidates))
-    seen = counts.copy()
+    seen = need.copy()
     slot = np.empty(n, dtype=np.int64)  # scratch for the wave dedupe
-    wave = np.flatnonzero(eligible & (counts >= thresholds))
-    touched_by_wave = []
+    wave = np.flatnonzero(need <= 0)
     total = 0
     while len(wave):
         adopted[wave] = True
-        eligible[wave] = False
+        need[wave] = seen[wave] = _DONE
         total += len(wave)
         touched = _gather_neighbors(net, wave)
-        touched_by_wave.append(touched)
+        np.subtract.at(need, touched, _ONE)
         degrees = net.indptr[wave + 1] - net.indptr[wave]
         later = touched[rank[touched] > np.repeat(rank[wave], degrees)]
-        np.add.at(seen, later, 1)
-        ready = later[eligible[later] & (seen[later] >= thresholds[later])]
+        np.subtract.at(seen, later, _ONE)
+        ready = later[seen[later] <= 0]
         # dedupe in O(wave): of the entries naming one agent, exactly one
         # reads back its own stamp; the waves' order does not matter
         stamp = np.arange(len(ready))
         slot[ready] = stamp
         wave = ready[slot[ready] == stamp]
-    if touched_by_wave:
-        counts += np.bincount(np.concatenate(touched_by_wave), minlength=n)
     return total
 
 
@@ -214,7 +208,8 @@ def simulate(
     synchronous mode every decision reads the adoption state from the start
     of the tick, so tick-t seeds influence imitators from tick t+1 onward.
     The run stops at saturation, at max_ticks, or once two consecutive
-    post-seeding ticks pass with no change.
+    post-seeding ticks pass with no change. Agents are tracked by their `need`
+    countdown (module docstring), which leaves both update rules unchanged.
 
     Args:
         net: the social network.
@@ -249,12 +244,11 @@ def simulate(
     if update == RANDOM_SEQUENTIAL and rng is None:
         raise ValueError("random-sequential mode requires an rng")
 
-    thresholds = _thresholds_by_node(net, params)
+    need = _thresholds_by_node(net, params).astype(np.int32)
     adopted = np.zeros(n, dtype=bool)
     innovator = np.zeros(n, dtype=bool)
     innovator[plan.positions] = True
-    eligible = ~innovator
-    counts = np.zeros(n, dtype=np.int64)  # adopter neighbors, kept incrementally
+    need[innovator] = _DONE
 
     proportions = [0.0]
     adopted_total = 0
@@ -265,16 +259,14 @@ def simulate(
         seeds = plan.seeds_at(t)
 
         if update == SYNCHRONOUS:
-            # decisions read start-of-tick state: counts not yet including
+            # decisions read start-of-tick state: need not yet counting
             # this tick's seeds or adopters
-            deciders = np.flatnonzero(eligible & (counts >= thresholds))
-            eligible[deciders] = False
-            delta = _adopt(net, np.concatenate((seeds, deciders)), adopted, counts)
+            deciders = np.flatnonzero(need <= 0)
+            need[deciders] = _DONE
+            delta = _adopt(net, np.concatenate((seeds, deciders)), adopted, need)
         else:
-            delta = _adopt(net, seeds, adopted, counts)
-            delta += _random_sequential_pass(
-                net, thresholds, counts, eligible, adopted, rng
-            )
+            delta = _adopt(net, seeds, adopted, need)
+            delta += _random_sequential_pass(net, need, adopted, innovator, rng)
         adopted_total += delta
         proportions.append(adopted_total / n)
 

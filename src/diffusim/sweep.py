@@ -304,8 +304,12 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
     Raises:
         TooFewPoints: fewer than 3 distinct points, or all collinear.
+        ValueError: a coordinate is not finite.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)  # lex-sorted
+    pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValueError("hull points must be finite")
+    pts = np.unique(pts, axis=0)  # lex-sorted
     if len(pts) < 3:
         raise TooFewPoints(f"need >= 3 distinct points, got {len(pts)}")
     lower: list[np.ndarray] = []
@@ -329,17 +333,17 @@ def envelope(
     records: Sequence[SweepRecord], subset: tuple[int, float, Pattern]
 ) -> Envelope:
     """Convex hull of fitted (p, q) points for one (k, delta_u, sigma)
-    family of records."""
+    family of records; records without a finite fit (a run that could not be
+    fitted) are left out."""
     k, delta_u, sigma = subset
     pts = [
         (r.p, r.q)
         for r in records
         if r.config.k == k and r.config.delta_u == delta_u and r.config.sigma is sigma
+        and math.isfinite(r.p) and math.isfinite(r.q)
     ]
     if len(pts) < 3:
-        raise TooFewPoints(
-            f"subset {subset} matched only {len(pts)} records"
-        )
+        raise TooFewPoints(f"subset {subset} matched only {len(pts)} finite fits")
     return Envelope(subset_filter=subset, hull_vertices=convex_hull(np.asarray(pts)))
 
 

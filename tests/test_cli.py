@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diffusim.calibrate import fit_bass
+from diffusim.calibrate import DegenerateTrajectory, fit_bass
 from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from diffusim.engine import read_trajectory_csv
 from diffusim.seeding import Pattern
@@ -347,6 +347,28 @@ def test_sweep_restricted_grid(tmp_path, capsys):
         "replications", "jobs", "envelopes_skipped_too_few_points",
     }
     assert len(manifest["outputs"]) == 2
+
+
+def test_sweep_skips_envelope_of_unfitted_runs(tmp_path, capsys, monkeypatch):
+    # two of the family's four runs cannot be fitted: two finite points left
+    calls = []
+
+    def fit_or_fail(traj):
+        calls.append(traj)
+        if len(calls) <= 2:
+            raise DegenerateTrajectory("zero variance")
+        return fit_bass(traj)
+
+    monkeypatch.setattr("diffusim.sweep.fit_bass", fit_or_fail)
+    config = write_json(tmp_path / "grid.json", SMALL_GRID)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "sweep", config, "--out", str(out))
+    assert code == EXIT_OK
+    assert "nan,nan" in (out / "sweep.csv").read_text()
+    name = "envelope_k8_du0.8_uniform.csv"
+    assert not (out / name).exists()
+    manifest = json.loads((out / "sweep.csv.manifest.json").read_text())
+    assert manifest["parameters"]["envelopes_skipped_too_few_points"] == [name]
 
 
 def test_sweep_csv_reads_back_its_lattice_size(tmp_path, capsys):

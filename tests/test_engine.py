@@ -5,7 +5,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffusim.engine import (
@@ -126,6 +126,44 @@ def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
 
 def empty_plan() -> SeedingPlan:
     return SeedingPlan(positions=np.empty(0, dtype=np.int64), gamma=1)
+
+
+def with_isolated_nodes(spec: LatticeSpec, isolated) -> SocialNetwork:
+    """The lattice of `spec` with every edge at the `isolated` nodes removed."""
+    edges = build_lattice(spec).edges
+    keep = ~np.isin(edges, list(isolated)).any(axis=1)
+    return SocialNetwork(edges[keep], spec, 0.0)
+
+
+def assert_ticks_follow_rule(net, plan, params, max_ticks) -> None:
+    """Replay every synchronous tick against the per-agent rule: an agent
+    adopts at t iff it is seeded at t or, not being an innovator, its
+    adopter-neighbor fraction at the start of t (0 when it has no neighbors)
+    gives delta_utility > 0."""
+    states = []
+    simulate(
+        net, plan, params, max_ticks,
+        on_tick=lambda t, adopted, innov: states.append((t, adopted.copy())),
+    )
+    seeded_at = {}
+    for i, node in enumerate(plan.positions.tolist()):
+        seeded_at.setdefault(1 + i // plan.gamma, set()).add(int(node))
+    innovators = set(plan.positions.tolist())
+
+    prev = np.zeros(net.node_count, dtype=bool)
+    for t, current in states:
+        for agent in range(net.node_count):
+            if prev[agent]:
+                assert current[agent], "irreversibility violated"
+                continue
+            if agent in innovators:
+                expected = agent in seeded_at.get(t, ())
+            else:
+                neigh = net.neighbors(agent)
+                v_plus = np.sum(prev[neigh]) / len(neigh) if len(neigh) else 0.0
+                expected = delta_utility(float(v_plus), params) > 0.0
+            assert current[agent] == expected, (t, agent)
+        prev = current
 
 
 class TestDeltaUtility:
@@ -331,40 +369,90 @@ class TestThresholdEquivalence:
         ],
     )
     def test_brute_force_recomputation(self, neighborhood, delta_u):
-        # replay every tick: an agent adopts at t iff it is seeded at t or
-        # its adopter-neighbor count at the start of t meets its threshold
         spec = LatticeSpec(10, 10, neighborhood)
-        net = build_lattice(spec)
-        params = DecisionParams(delta_u=delta_u)
         rng = np.random.default_rng(17)
         plan = build_plan(spec, Pattern.UNIFORM, count=6, gamma=2, rng=rng)
-        states = []
-        simulate(
-            net,
-            plan,
-            params,
-            max_ticks=200,
-            on_tick=lambda t, adopted, innov: states.append((t, adopted.copy())),
+        assert_ticks_follow_rule(
+            build_lattice(spec), plan, DecisionParams(delta_u=delta_u), max_ticks=200
         )
-        seeded_at = {}
-        for i, node in enumerate(plan.positions.tolist()):
-            seeded_at.setdefault(1 + i // plan.gamma, set()).add(int(node))
-        innovators = set(plan.positions.tolist())
 
-        prev = np.zeros(net.node_count, dtype=bool)
-        for t, current in states:
-            for agent in range(net.node_count):
-                if prev[agent]:
-                    assert current[agent], "irreversibility violated"
-                    continue
-                if agent in innovators:
-                    expected = agent in seeded_at.get(t, ())
-                else:
-                    neigh = net.neighbors(agent)
-                    count = int(np.sum(prev[neigh]))
-                    expected = count >= adoption_threshold(len(neigh), params)
-                assert current[agent] == expected, (t, agent)
-            prev = current
+    # delta_u 1.2 adopts spontaneously and -1.0 never adopts at alpha < 1
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(2, 12),
+        neighborhood=st.sampled_from(list(Neighborhood)),
+        p_r=st.sampled_from([0.0, 0.3, 1.0]),
+        delta_u=st.sampled_from([-1.0, 0.0, 0.6, 0.8, 1.2]),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        pattern=st.sampled_from(list(Pattern)),
+        count=st.integers(1, 12),
+        gamma=st.sampled_from([1, 2, 5, 50]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_brute_force_on_rewired_lattices(
+        self, rows, cols, neighborhood, p_r, delta_u, alpha, pattern, count,
+        gamma, seed,
+    ):
+        spec = LatticeSpec(rows, cols, neighborhood)
+        rng = np.random.default_rng(seed)
+        net = rewire(build_lattice(spec), p_r, rng)
+        try:
+            plan = build_plan(spec, pattern, min(count, spec.node_count), gamma, rng)
+        except ValueError:  # intermediate clusters overlap on small lattices
+            assume(False)
+        assert_ticks_follow_rule(
+            net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
+            max_ticks=plan.last_tick + 30,
+        )
+
+    @pytest.mark.parametrize("delta_u", [-1.0, 0.6, 1.2])
+    def test_brute_force_with_isolated_nodes(self, delta_u):
+        spec = LatticeSpec(6, 6, Neighborhood.MOORE)
+        net = with_isolated_nodes(spec, [0, 14, 21])
+        plan = schedule_innovators(
+            np.array([7, 21, 28]), gamma=2, rng=np.random.default_rng(3)
+        )
+        assert_ticks_follow_rule(net, plan, DecisionParams(delta_u=delta_u), 40)
+
+
+class TestGatherNeighbors:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(2, 12),
+        neighborhood=st.sampled_from(list(Neighborhood)),
+        p_r=st.sampled_from([0.0, 0.3, 1.0]),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_matches_concatenated_neighbor_lists(
+        self, rows, cols, neighborhood, p_r, dtype, seed, data,
+    ):
+        spec = LatticeSpec(rows, cols, neighborhood)
+        net = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
+        # repeated nodes allowed; an empty list is drawn too
+        nodes = np.asarray(
+            data.draw(st.lists(st.integers(0, spec.node_count - 1), max_size=30)),
+            dtype=dtype,
+        )
+        self.assert_gathers(net, nodes)
+
+    def test_isolated_empty_and_repeated_nodes(self):
+        net = with_isolated_nodes(LatticeSpec(4, 4, Neighborhood.MOORE), [5, 10])
+        for nodes in ([], [5], [5, 10], [0, 5, 0, 10, 15, 15], [10, 3, 3]):
+            for dtype in (np.int32, np.int64):
+                self.assert_gathers(net, np.asarray(nodes, dtype=dtype))
+
+    @staticmethod
+    def assert_gathers(net, nodes):
+        expected = np.concatenate(
+            [net.neighbors(int(v)) for v in nodes] + [np.empty(0, np.int32)]
+        )
+        gathered = _gather_neighbors(net, nodes)
+        assert gathered.dtype == net.indices.dtype
+        assert gathered.tolist() == expected.tolist()
 
 
 class TestThresholdTable:
@@ -484,6 +572,20 @@ class TestRandomSequentialOracle:
         assert_same_sequential_run(
             net, plan, DecisionParams(delta_u=delta_u, alpha=alpha),
             max_ticks=plan.last_tick + 60, rng=rng,
+        )
+
+    @pytest.mark.parametrize("delta_u", [0.6, 1.2])
+    def test_matches_per_agent_loop_with_isolated_nodes(self, delta_u):
+        # isolated agents never adopt at 0.6, so they stay in every tick's
+        # permutation; at 1.2 every agent adopts spontaneously
+        spec = LatticeSpec(8, 8, Neighborhood.MOORE)
+        net = with_isolated_nodes(spec, [0, 9, 30, 63])
+        assert net.degrees[[0, 9, 30, 63]].tolist() == [0, 0, 0, 0]
+        rng = np.random.default_rng(41)
+        plan = build_plan(spec, Pattern.UNIFORM, count=4, gamma=2, rng=rng)
+        assert_same_sequential_run(
+            net, plan, DecisionParams(delta_u=delta_u),
+            max_ticks=plan.last_tick + 20, rng=rng,
         )
 
     def test_matches_per_agent_loop_on_designated_cell(self):

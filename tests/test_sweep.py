@@ -256,6 +256,12 @@ class TestConvexHull:
         with pytest.raises(TooFewPoints):
             convex_hull(np.array([[0, 0], [1, 1], [1, 1]], dtype=float))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [bad, bad]], dtype=float)
+        with pytest.raises(ValueError, match="finite"):
+            convex_hull(pts)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(
@@ -293,6 +299,26 @@ class TestEnvelope:
         assert len(generators) == 30
         for row in generators:
             assert locate((row.p, row.q), env) is not Location.OUTSIDE
+
+    def test_leaves_out_unfitted_records(self):
+        # a run that could not be fitted keeps a NaN (p, q) row in the sweep
+        corners = [(0.01, 0.3), (0.02, 0.3), (0.02, 0.5), (0.01, 0.5)]
+        records = [
+            SweepRecord(small_config(), p, q, 0.99, 5.0, 20) for p, q in corners
+        ] + [SweepRecord(small_config(), math.nan, math.nan, math.nan, math.nan,
+                         NOT_SATURATED)]
+        env = envelope(records, (8, 0.6, Pattern.UNIFORM))
+        assert np.isfinite(env.hull_vertices).all()
+        assert sorted(map(tuple, env.hull_vertices.tolist())) == sorted(corners)
+
+    def test_too_few_finite_fits(self):
+        records = [
+            SweepRecord(small_config(), 0.01, 0.3, 0.99, 5.0, 20),
+            SweepRecord(small_config(), 0.02, 0.5, 0.99, 5.0, 20),
+        ] + [SweepRecord(small_config(), math.nan, math.nan, math.nan, math.nan,
+                         NOT_SATURATED)] * 2
+        with pytest.raises(TooFewPoints, match="matched only 2 finite"):
+            envelope(records, (8, 0.6, Pattern.UNIFORM))
 
     def test_filter_too_small(self):
         records = [
