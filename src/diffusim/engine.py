@@ -16,9 +16,12 @@ same tick.
 
 An agent's state is one int32 countdown, `need`: its threshold minus its
 adopter neighbors so far; it adopts once `need` <= 0. Innovators and adopters
-hold `_DONE`, which no later decrement brings to 0. A synchronous tick is one
-compare, one neighbor gather and one scatter. The countdown changes neither
-the decision rule nor the random-sequential contract.
+hold `_DONE`, which no later decrement brings to 0. Neighbors are gathered
+with one `take` of rows of the network's padded `neighbor_table`, whose
+padding entries name node_count: `need` has one spare last slot, held at
+`_DONE`, that soaks up their decrements. A synchronous tick is one compare,
+one neighbor gather and one scatter. The countdown changes neither the
+decision rule nor the random-sequential contract.
 """
 
 from __future__ import annotations
@@ -122,27 +125,19 @@ def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarra
     return np.asarray(table, dtype=np.int64)[degrees]
 
 
-def _gather_neighbors(net: SocialNetwork, nodes: np.ndarray) -> np.ndarray:
-    """Concatenate the neighbor lists of `nodes` (repeat-offset gather)."""
-    starts = net.indptr[nodes]
-    counts = net.indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return net.indices[np.repeat(starts - ends + counts, counts) + np.arange(total)]
-
-
 def _adopt(
-    net: SocialNetwork, nodes: np.ndarray, adopted: np.ndarray, need: np.ndarray
+    table: np.ndarray, nodes: np.ndarray, adopted: np.ndarray, need: np.ndarray
 ) -> int:
-    """Mark `nodes` adopted and take one off each of their neighbors' `need`,
-    in place; returns len(nodes)."""
+    """Mark `nodes` adopted and take one off each of their neighbors' `need`
+    (and the spare slot's, once per padding entry of their `table` rows), in
+    place; returns len(nodes)."""
     adopted[nodes] = True
-    np.subtract.at(need, _gather_neighbors(net, nodes), _ONE)
+    np.subtract.at(need, table.take(nodes, axis=0).ravel(), _ONE)
     return len(nodes)
 
 
 def _random_sequential_pass(
-    net: SocialNetwork, need: np.ndarray, adopted: np.ndarray,
+    table: np.ndarray, need: np.ndarray, adopted: np.ndarray,
     innovator: np.ndarray, rng: np.random.Generator,
 ) -> int:
     """One tick's decisions in rng-permuted order, applied immediately.
@@ -164,12 +159,18 @@ def _random_sequential_pass(
     solution. `need` loses every adopter's neighbors, as the loop's
     decrements leave it at the end of the tick.
 
+    A wave's neighbors are gathered as rows of the padded `table`, and
+    "ranked after the adopter" is one 2-D compare of their ranks against
+    the adopter's. A padding entry names the spare last slot, which ranks
+    last like every agent not deciding; `need` and `seen` hold `_DONE`
+    there, so it never joins a wave.
+
     Updates `need` and `adopted` in place; returns the number of agents that
     adopted.
     """
-    n = net.node_count
+    n = len(table)
     candidates = np.flatnonzero(~(adopted | innovator))
-    rank = np.full(n, n, dtype=np.int64)  # agents not deciding rank last
+    rank = np.full(n + 1, n, dtype=np.int64)  # non-deciders and slot n rank last
     rank[candidates[rng.permutation(len(candidates))]] = np.arange(len(candidates))
     seen = need.copy()
     slot = np.empty(n, dtype=np.int64)  # scratch for the wave dedupe
@@ -179,10 +180,9 @@ def _random_sequential_pass(
         adopted[wave] = True
         need[wave] = seen[wave] = _DONE
         total += len(wave)
-        touched = _gather_neighbors(net, wave)
-        np.subtract.at(need, touched, _ONE)
-        degrees = net.indptr[wave + 1] - net.indptr[wave]
-        later = touched[rank[touched] > np.repeat(rank[wave], degrees)]
+        touched = table.take(wave, axis=0)
+        np.subtract.at(need, touched.ravel(), _ONE)
+        later = touched[rank[touched] > rank[wave][:, None]]
         np.subtract.at(seen, later, _ONE)
         ready = later[seen[later] <= 0]
         # dedupe in O(wave): of the entries naming one agent, exactly one
@@ -244,11 +244,13 @@ def simulate(
     if update == RANDOM_SEQUENTIAL and rng is None:
         raise ValueError("random-sequential mode requires an rng")
 
-    need = _thresholds_by_node(net, params).astype(np.int32)
+    table = net.neighbor_table
+    need = np.full(n + 1, _DONE, dtype=np.int32)  # [n]: the padding's slot
+    need[:n] = _thresholds_by_node(net, params)
+    need[plan.positions] = _DONE
     adopted = np.zeros(n, dtype=bool)
     innovator = np.zeros(n, dtype=bool)
     innovator[plan.positions] = True
-    need[innovator] = _DONE
 
     proportions = [0.0]
     adopted_total = 0
@@ -263,10 +265,10 @@ def simulate(
             # this tick's seeds or adopters
             deciders = np.flatnonzero(need <= 0)
             need[deciders] = _DONE
-            delta = _adopt(net, np.concatenate((seeds, deciders)), adopted, need)
+            delta = _adopt(table, np.concatenate((seeds, deciders)), adopted, need)
         else:
-            delta = _adopt(net, seeds, adopted, need)
-            delta += _random_sequential_pass(net, need, adopted, innovator, rng)
+            delta = _adopt(table, seeds, adopted, need)
+            delta += _random_sequential_pass(table, need, adopted, innovator, rng)
         adopted_total += delta
         proportions.append(adopted_total / n)
 

@@ -74,7 +74,8 @@ class SocialNetwork:
     """Immutable undirected network over lattice nodes.
 
     The stored form is a CSR neighbor table (`indptr`, `indices`); the
-    canonical edge list is derived from it on first use. All arrays are
+    canonical edge list and a padded fixed-width copy of the table
+    (`neighbor_table`) are derived from it on first use. All arrays are
     read-only; rewiring produces a new instance.
 
     Raises:
@@ -89,6 +90,9 @@ class SocialNetwork:
             pure lattice).
         indptr, indices: CSR neighbor table; neighbors of node i are
             indices[indptr[i]:indptr[i+1]], sorted ascending.
+        neighbor_table: the same lists as one (node_count, max degree)
+            int32 array (ELLPACK layout): row i holds node i's neighbors,
+            sorted ascending, then node_count as padding.
     """
 
     def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
@@ -147,6 +151,18 @@ class SocialNetwork:
         edges = np.column_stack((src[upper], self.indices[upper]))
         edges.setflags(write=False)
         return edges
+
+    @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """Padded neighbor lists (class docstring): one `take` of its rows
+        gathers the neighbors of many nodes, where the CSR needs a ragged
+        gather."""
+        degrees = self.degrees
+        table = np.full((self.node_count, degrees.max(initial=0)), self.node_count,
+                        dtype=np.int32)
+        table[np.arange(table.shape[1]) < degrees[:, None]] = self.indices
+        table.setflags(write=False)
+        return table
 
     @property
     def degrees(self) -> np.ndarray:

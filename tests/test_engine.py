@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from diffusim.engine import (
     RANDOM_SEQUENTIAL,
+    SYNCHRONOUS,
     AdoptionTrajectory,
     DecisionParams,
-    _gather_neighbors,
     _thresholds_by_node,
     adoption_threshold,
     delta_utility,
@@ -65,9 +65,8 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
 
         adopted[seeds] = True
         adopted_total += len(seeds)
-        if len(seeds):
-            touched = _gather_neighbors(net, seeds.astype(np.int64))
-            counts += np.bincount(touched, minlength=n)
+        for seed in seeds:
+            counts[net.neighbors(int(seed))] += 1
         # immediate-update pass in random order over remaining agents
         candidates = np.flatnonzero(eligible)
         for agent in candidates[rng.permutation(len(candidates))]:
@@ -416,45 +415,6 @@ class TestThresholdEquivalence:
         assert_ticks_follow_rule(net, plan, DecisionParams(delta_u=delta_u), 40)
 
 
-class TestGatherNeighbors:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.integers(2, 12),
-        cols=st.integers(2, 12),
-        neighborhood=st.sampled_from(list(Neighborhood)),
-        p_r=st.sampled_from([0.0, 0.3, 1.0]),
-        dtype=st.sampled_from([np.int32, np.int64]),
-        seed=st.integers(0, 2**64 - 1),
-        data=st.data(),
-    )
-    def test_matches_concatenated_neighbor_lists(
-        self, rows, cols, neighborhood, p_r, dtype, seed, data,
-    ):
-        spec = LatticeSpec(rows, cols, neighborhood)
-        net = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
-        # repeated nodes allowed; an empty list is drawn too
-        nodes = np.asarray(
-            data.draw(st.lists(st.integers(0, spec.node_count - 1), max_size=30)),
-            dtype=dtype,
-        )
-        self.assert_gathers(net, nodes)
-
-    def test_isolated_empty_and_repeated_nodes(self):
-        net = with_isolated_nodes(LatticeSpec(4, 4, Neighborhood.MOORE), [5, 10])
-        for nodes in ([], [5], [5, 10], [0, 5, 0, 10, 15, 15], [10, 3, 3]):
-            for dtype in (np.int32, np.int64):
-                self.assert_gathers(net, np.asarray(nodes, dtype=dtype))
-
-    @staticmethod
-    def assert_gathers(net, nodes):
-        expected = np.concatenate(
-            [net.neighbors(int(v)) for v in nodes] + [np.empty(0, np.int32)]
-        )
-        gathered = _gather_neighbors(net, nodes)
-        assert gathered.dtype == net.indices.dtype
-        assert gathered.tolist() == expected.tolist()
-
-
 class TestThresholdTable:
     @staticmethod
     def assert_thresholds_by_degree(net, params):
@@ -598,6 +558,35 @@ class TestRandomSequentialOracle:
         assert_same_sequential_run(
             net, plan, DecisionParams(delta_u=0.8), max_ticks=500, rng=rng
         )
+
+
+class TestEveryNodeIsolated:
+    """A network with no edge: the neighbor table is (n, 0), so every
+    gather is empty and only the spontaneous rule and the seeds act."""
+
+    @pytest.mark.parametrize("update", [SYNCHRONOUS, RANDOM_SEQUENTIAL])
+    @pytest.mark.parametrize(
+        "delta_u,counts,saturated_at",
+        [(1.2, [0, 19, 20], 2), (0.6, [0, 2, 3, 3, 3], None)],
+        ids=["spontaneous", "innovators_only"],
+    )
+    def test_zero_width_neighbor_table(self, update, delta_u, counts, saturated_at):
+        # at alpha 0.5, delta_u 1.2 adopts with no adopter neighbor (all but
+        # the tick-2 innovator adopt at tick 1) and 0.6 never does, so only
+        # the innovators adopt
+        spec = LatticeSpec(5, 4, Neighborhood.MOORE)
+        net = SocialNetwork(np.empty((0, 2), dtype=np.int64), spec, 0.0)
+        assert net.neighbor_table.shape == (20, 0)
+        rng = np.random.default_rng(5)
+        plan = schedule_innovators(np.array([3, 11, 17]), gamma=2, rng=rng)
+        params = DecisionParams(delta_u=delta_u)
+        if update == SYNCHRONOUS:
+            assert_ticks_follow_rule(net, plan, params, max_ticks=10)
+        else:
+            assert_same_sequential_run(net, plan, params, max_ticks=10, rng=rng)
+        traj = simulate(net, plan, params, max_ticks=10, rng=rng, update=update)
+        assert traj.adopter_counts.tolist() == counts
+        assert traj.saturated_at == saturated_at
 
 
 class TestValidation:

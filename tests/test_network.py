@@ -314,6 +314,67 @@ def test_rewire_never_writes_into_the_cached_lattice():
     assert np.array_equal(a.indices, b.indices)
 
 
+def assert_neighbor_table(net: SocialNetwork, nodes: np.ndarray) -> None:
+    """Row i of the table is node i's sorted neighbor list padded with
+    node_count, and one `take` of the rows of `nodes`, padding dropped, is
+    their neighbor lists concatenated."""
+    n = net.node_count
+    table = net.neighbor_table
+    assert table.dtype == np.int32
+    assert not table.flags.writeable
+    assert table.shape == (n, net.degrees.max(initial=0))
+    for i in range(n):
+        degree = len(net.neighbors(i))
+        assert table[i, :degree].tolist() == net.neighbors(i).tolist()
+        assert table[i, degree:].tolist() == [n] * (table.shape[1] - degree)
+    gathered = table.take(nodes, axis=0)
+    assert gathered.shape == (len(nodes), table.shape[1])
+    expected = [int(j) for v in nodes for j in net.neighbors(int(v))]
+    assert gathered[gathered < n].tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(2, 12),
+    cols=st.integers(2, 12),
+    neighborhood=st.sampled_from(list(Neighborhood)),
+    p_r=st.sampled_from([0.0, 0.3, 1.0]),
+    dtype=st.sampled_from([np.int32, np.int64]),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_neighbor_table_matches_neighbor_lists(
+    rows, cols, neighborhood, p_r, dtype, seed, data,
+):
+    spec = LatticeSpec(rows, cols, neighborhood)
+    net = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
+    # repeated nodes allowed; an empty list is drawn too
+    nodes = np.asarray(
+        data.draw(st.lists(st.integers(0, spec.node_count - 1), max_size=30)),
+        dtype=dtype,
+    )
+    assert_neighbor_table(net, nodes)
+
+
+def test_neighbor_table_with_isolated_empty_and_repeated_nodes():
+    spec = LatticeSpec(4, 4, Neighborhood.MOORE)
+    edges = build_lattice(spec).edges
+    net = SocialNetwork(edges[~np.isin(edges, [5, 10]).any(axis=1)], spec, 0.0)
+    assert net.degrees[[5, 10]].tolist() == [0, 0]
+    for nodes in ([], [5], [5, 10], [0, 5, 0, 10, 15, 15], [10, 3, 3]):
+        for dtype in (np.int32, np.int64):
+            assert_neighbor_table(net, np.asarray(nodes, dtype=dtype))
+
+
+def test_neighbor_table_is_cached_with_the_lattice():
+    spec = LatticeSpec(6, 7, Neighborhood.VON_NEUMANN)
+    table = build_lattice(spec).neighbor_table
+    assert build_lattice(spec).neighbor_table is table
+    # corners have degree 2, so the table is padded to the interior's 4
+    assert table.shape == (42, 4)
+    assert table[0].tolist() == [1, 7, 42, 42]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(2, 10),
