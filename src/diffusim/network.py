@@ -73,10 +73,10 @@ def _edge_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SocialNetwork:
     """Immutable undirected network over lattice nodes.
 
-    The stored form is a CSR neighbor table (`indptr`, `indices`); the
-    canonical edge list and a padded fixed-width copy of the table
-    (`neighbor_table`) are derived from it on first use. All arrays are
-    read-only; rewiring produces a new instance.
+    The stored form is the padded neighbor table (`neighbor_table`) and the
+    `degrees`; the CSR table (`indptr`, `indices`) and the canonical edge
+    list are derived from them on first use. All arrays are read-only;
+    rewiring produces a new instance.
 
     Raises:
         ValueError: edges not an (E, 2) array, an endpoint outside
@@ -88,11 +88,12 @@ class SocialNetwork:
         base_spec: lattice geometry the network was built from.
         rewire_prob: probability used when this network was rewired (0 for a
             pure lattice).
-        indptr, indices: CSR neighbor table; neighbors of node i are
-            indices[indptr[i]:indptr[i+1]], sorted ascending.
-        neighbor_table: the same lists as one (node_count, max degree)
-            int32 array (ELLPACK layout): row i holds node i's neighbors,
-            sorted ascending, then node_count as padding.
+        neighbor_table: (node_count, max degree) int32 array (ELLPACK
+            layout): row i holds node i's neighbors, sorted ascending, then
+            node_count as padding.
+        degrees: number of neighbors of each node.
+        indptr, indices: the same lists as a CSR table; neighbors of node i
+            are indices[indptr[i]:indptr[i+1]].
     """
 
     def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
@@ -113,85 +114,77 @@ class SocialNetwork:
         directed.sort()
         if np.any(directed[1:] == directed[:-1]):
             raise ValueError("edges contain a duplicate")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
-        indices = (directed & _LOW_WORD).astype(np.int32)
-        self._set_csr(indptr, indices, base_spec, rewire_prob)
+        degrees = np.bincount(edges.ravel(), minlength=n)
+        table = np.full((n, degrees.max(initial=0)), n, dtype=np.int32)
+        table[np.arange(table.shape[1]) < degrees[:, None]] = directed & _LOW_WORD
+        self._set(table, degrees, base_spec, rewire_prob)
 
     @classmethod
-    def _from_csr(
-        cls, indptr: np.ndarray, indices: np.ndarray, base_spec: LatticeSpec,
+    def _from_table(
+        cls, table: np.ndarray, degrees: np.ndarray, base_spec: LatticeSpec,
         rewire_prob: float,
     ) -> SocialNetwork:
-        """A network from a CSR table that is valid by construction: symmetric,
-        each row sorted, no self-loop or repeat. Nothing is checked."""
+        """A network from a padded table that is valid by construction:
+        symmetric, each row sorted, no self-loop or repeat, and exactly as
+        wide as its largest degree. Nothing is checked."""
         net = cls.__new__(cls)
-        net._set_csr(indptr, indices, base_spec, rewire_prob)
+        net._set(table, degrees, base_spec, rewire_prob)
         return net
 
-    def _set_csr(self, indptr, indices, base_spec, rewire_prob) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+    def _set(self, table, degrees, base_spec, rewire_prob) -> None:
+        table.setflags(write=False)
+        degrees.setflags(write=False)
+        self.neighbor_table = table
+        self.degrees = degrees
         self.node_count = base_spec.node_count
         self.base_spec = base_spec
         self.rewire_prob = float(rewire_prob)
 
     @property
     def edge_count(self) -> int:
-        return len(self.indices) // 2
+        return int(self.degrees.sum()) // 2
+
+    def neighbors(self, node: int) -> np.ndarray:
+        """Sorted neighbor indices of one node (read-only view)."""
+        return self.neighbor_table[node, : self.degrees[node]]
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        indptr.setflags(write=False)
+        return indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The table's entries without the padding, row by row."""
+        indices = self.neighbor_table[self.neighbor_table < self.node_count]
+        indices.setflags(write=False)
+        return indices
 
     @cached_property
     def edges(self) -> np.ndarray:
         """(E, 2) array, smaller index first, lexicographically sorted: the
-        CSR entries with src < dst, read in CSR order."""
-        src = self._sources()
-        upper = src < self.indices
-        edges = np.column_stack((src[upper], self.indices[upper]))
+        table's entries (i, j) with i < j, read row by row."""
+        edges = np.column_stack(self._upper())
         edges.setflags(write=False)
         return edges
 
     @cached_property
-    def neighbor_table(self) -> np.ndarray:
-        """Padded neighbor lists (class docstring): one `take` of its rows
-        gathers the neighbors of many nodes, where the CSR needs a ragged
-        gather."""
-        degrees = self.degrees
-        table = np.full((self.node_count, degrees.max(initial=0)), self.node_count,
-                        dtype=np.int32)
-        table[np.arange(table.shape[1]) < degrees[:, None]] = self.indices
-        table.setflags(write=False)
-        return table
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor indices of one node (read-only view)."""
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    def _sources(self) -> np.ndarray:
-        """The source node of each CSR entry."""
-        return np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees)
-
-    @cached_property
-    def _directed_keys(self) -> np.ndarray:
-        """Sorted int64 keys (src, dst) of the CSR entries. Like `_keys`, it
-        is computed only by `rewire`, so only a lattice that is rewired
-        holds it."""
-        keys = _edge_keys(self._sources(), self.indices)
-        keys.setflags(write=False)
-        return keys
-
-    @cached_property
     def _keys(self) -> np.ndarray:
-        """Sorted int64 keys (lo, hi) of the canonical edges."""
-        keys = self._directed_keys
-        keys = keys[(keys >> 32) < (keys & _LOW_WORD)]
+        """Sorted int64 keys (lo, hi) of the canonical edges. It is computed
+        only by `rewire`, so only a lattice that is rewired holds it."""
+        keys = _edge_keys(*self._upper())
         keys.setflags(write=False)
         return keys
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row i and value j of each table entry with j > i, row by row;
+        the padding (node_count) is above every row index, so it is masked
+        out by value."""
+        table = self.neighbor_table
+        rows = np.arange(self.node_count, dtype=np.int32)[:, None]
+        at = np.flatnonzero((table > rows) & (table < self.node_count))
+        return (at // table.shape[1]).astype(np.int32), table.ravel()[at]
 
 
 @dataclass(frozen=True)
@@ -258,11 +251,12 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     gives the same values and end state for one batch of k as for k scalar
     draws; the tests check this against the scalar loop.
 
-    The result is spliced into the lattice's CSR table rather than built by
-    sorting every edge again: the 2m directed entries of the m moved edges
-    are deleted, their 2m replacements inserted at their sorted positions,
-    and `indptr` shifted by the degree changes. The lattice's sorted key
-    arrays, which locate both, are computed once and cached with it.
+    The result's padded table is patched from the lattice's rather than
+    built by sorting every edge again: only the rows of the moved edges'
+    endpoints (u, v, w) change, and they are rebuilt apart, then written
+    into a copy of the lattice's table sized to the new largest degree.
+    The lattice's sorted edge keys, which the draws check against, are
+    computed once and cached with it; the lattice is never written.
 
     Args:
         net: a pure lattice (rewire_prob == 0); rewiring is applied once.
@@ -284,22 +278,37 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     u, v = keys[selected] >> 32, keys[selected] & _LOW_WORD
     w = _draw_targets(keys, u, selected, n, rng)
 
-    directed = net._directed_keys
-    gone = np.concatenate((_edge_keys(u, v), _edge_keys(v, u)))
-    gone.sort()
-    gone = np.searchsorted(directed, gone)
-    new = np.concatenate((_edge_keys(u, w), _edge_keys(w, u)))
-    new.sort()
-    # where each new entry goes once the gone ones are out; a new edge equal
-    # to a removed lattice edge lands where that edge was
-    at = np.searchsorted(directed, new)
-    at -= np.searchsorted(gone, at)
-    indices = np.insert(
-        np.delete(net.indices, gone), at, (new & _LOW_WORD).astype(np.int32)
-    )
-    indptr = net.indptr.copy()
-    indptr[1:] += np.cumsum(np.bincount(w, minlength=n) - np.bincount(v, minlength=n))
-    return SocialNetwork._from_csr(indptr, indices, net.base_spec, p_r)
+    table = net.neighbor_table
+    degrees = net.degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
+    width = int(degrees.max(initial=0))
+    old_width = table.shape[1]
+    # the rows of the endpoints u, v, w are rebuilt in `block`: each removed
+    # entry blanked to the padding value, each new one appended past the
+    # old width in any order, then each row sorted
+    touched = np.zeros(n, dtype=bool)
+    touched[u] = touched[v] = touched[w] = True
+    rows = np.flatnonzero(touched)
+    slot = np.empty(n, dtype=np.intp)  # a touched node's row in block
+    slot[rows] = np.arange(len(rows))
+    to = slot[np.concatenate((u, w))]
+    order = np.argsort(to)
+    to, new = to[order], np.concatenate((w, u))[order]
+    added = np.bincount(to, minlength=len(rows))
+    rank = np.arange(len(to)) - (np.cumsum(added) - added)[to]
+    block = np.full((len(rows), old_width + added.max(initial=0)), n, dtype=np.int32)
+    block[:, :old_width] = table.take(rows, axis=0)
+    ends, gone = np.concatenate((u, v)), np.concatenate((v, u)).astype(np.int32)
+    # each removed entry sits once in its lattice row
+    col = np.flatnonzero(table.take(ends, axis=0) == gone[:, None]) % old_width
+    block[slot[ends], col] = n
+    block[to, old_width + rank] = new
+    block.sort(axis=1)
+
+    out = np.full((n, width), n, dtype=np.int32)
+    kept = min(width, old_width)
+    out[:, :kept] = table[:, :kept]
+    out[rows] = block[:, :width]
+    return SocialNetwork._from_table(out, degrees, net.base_spec, p_r)
 
 
 # draws are checked this many at a time, so that a rejection re-checks at

@@ -23,6 +23,12 @@ class Pattern(enum.Enum):
     UNIFORM = "uniform"
 
 
+def _has_repeat(values: np.ndarray) -> bool:
+    """Whether any value occurs twice (a sort is faster than `np.unique`)."""
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 def last_activation_tick(count: int, gamma: int) -> int:
     """Tick of the final block when `count` innovators activate `gamma` per
     tick: ceil(count / gamma); 0 when there are none."""
@@ -44,7 +50,7 @@ class SeedingPlan:
     def __post_init__(self) -> None:
         if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if len(np.unique(self.positions)) != len(self.positions):
+        if _has_repeat(self.positions):
             raise ValueError("innovator positions must be distinct")
 
     @property
@@ -110,7 +116,7 @@ def place_innovators(
         _cells_by_distance(rows, cols, cr, cc)[:size]
         for (cr, cc), size in zip(centers, sizes)
     ])
-    if len(np.unique(cells)) != len(cells):
+    if _has_repeat(cells):
         raise ValueError(
             "intermediate clusters overlap; lattice too small to separate them"
         )

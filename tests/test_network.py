@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim.network import (
@@ -47,14 +47,23 @@ def _rewire_scalar(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> 
     return SocialNetwork(edges, net.base_spec, rewire_prob=p_r)
 
 
+def assert_same_network(a: SocialNetwork, b: SocialNetwork) -> None:
+    """Equal stored form (table, degrees) and equal derived views, dtypes
+    included."""
+    for name in ("neighbor_table", "degrees", "edges", "indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
 def assert_same_rewiring(base: SocialNetwork, p_r: float, seed: int) -> None:
+    """rewire against the scalar reference, which builds its result through
+    the validating constructor."""
     fast_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
     fast = rewire(base, p_r, fast_rng)
     ref = _rewire_scalar(base, p_r, ref_rng)
-    assert np.array_equal(fast.edges, ref.edges)
-    assert np.array_equal(fast.indptr, ref.indptr)
-    assert np.array_equal(fast.indices, ref.indices)
+    assert_same_network(fast, ref)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -284,34 +293,59 @@ def test_rewire_matches_scalar_reference_200x200_moore_grid_levels(p_r):
     assert_same_rewiring(build_lattice(MOORE_200), p_r, 7)
 
 
+@pytest.mark.parametrize("p_r", [0.0025, 0.005, 0.01, 0.02, 0.04])
+def test_rewire_matches_scalar_reference_200x200_von_neumann_grid_levels(p_r):
+    assert_same_rewiring(build_lattice(VN_200), p_r, 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(2, 12),
+    cols=st.integers(2, 12),
+    neighborhood=st.sampled_from(list(Neighborhood)),
+    p_r=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+# K4 at p_r = 1: every moved edge draws its removed endpoint back
+@example(rows=2, cols=2, neighborhood=Neighborhood.MOORE, p_r=1.0, seed=3)
+def test_rewire_table_matches_the_validating_constructor(
+    rows, cols, neighborhood, p_r, seed,
+):
+    spec = LatticeSpec(rows, cols, neighborhood)
+    out = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
+    assert_same_network(out, SocialNetwork(out.edges, spec, p_r))
+
+
 def test_rewire_can_recreate_a_removed_lattice_edge():
     # on K4 (the 2x2 Moore lattice) every other node is already a neighbor,
     # so each selected edge can only draw its own far endpoint back
     base = build_lattice(LatticeSpec(2, 2, Neighborhood.MOORE))
     out = rewire(base, 1.0, np.random.default_rng(3))
-    assert np.array_equal(out.edges, base.edges)
-    assert np.array_equal(out.indptr, base.indptr)
-    assert np.array_equal(out.indices, base.indices)
+    assert_same_network(out, base)
     assert_same_rewiring(base, 1.0, 3)
 
 
 def test_rewire_never_writes_into_the_cached_lattice():
     base = build_lattice(LatticeSpec(30, 30, Neighborhood.MOORE))
-    before = [base.indptr.copy(), base.indices.copy(), base.edges.copy()]
+    names = ("neighbor_table", "degrees", "indptr", "indices", "edges")
+    before = {name: getattr(base, name).copy() for name in names}
     outs = [rewire(base, p_r, np.random.default_rng(seed))
             for seed, p_r in enumerate([0.0, 0.04, 0.3, 1.0, 0.04])]
     assert build_lattice(LatticeSpec(30, 30, Neighborhood.MOORE)) is base
-    for array, copy in zip([base.indptr, base.indices, base.edges], before):
-        assert np.array_equal(array, copy)
-        assert not array.flags.writeable
+    for name, copy in before.items():
+        array = getattr(base, name)
+        assert np.array_equal(array, copy), name
+        assert not array.flags.writeable, name
     for out in outs:
-        for array in (out.indptr, out.indices, out.edges):
-            assert not array.flags.writeable
+        for name in names:
+            assert not getattr(out, name).flags.writeable, name
+            # the rewired network owns its arrays
+            assert not np.shares_memory(getattr(out, name), getattr(base, name)), name
     # the lattice still rewires to what a fresh copy of it does
-    fresh = SocialNetwork(np.array(before[2]), base.base_spec, 0.0)
+    fresh = SocialNetwork(np.array(before["edges"]), base.base_spec, 0.0)
     a = rewire(base, 0.04, np.random.default_rng(99))
     b = rewire(fresh, 0.04, np.random.default_rng(99))
-    assert np.array_equal(a.indices, b.indices)
+    assert_same_network(a, b)
 
 
 def assert_neighbor_table(net: SocialNetwork, nodes: np.ndarray) -> None:
