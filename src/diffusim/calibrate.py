@@ -4,6 +4,8 @@ Fits (p, q) by damped Gauss-Newton (Levenberg-Marquardt style adaptive
 damping) with the analytic Jacobian of the closed-form curve, box-projected
 to p in [1e-6, 1], q in [0, 1]. Each step solves the damped 2x2 normal
 equations in closed form, and each trial point evaluates the curve once.
+The Jacobian at an accepted point is built from the terms its curve
+evaluation formed (-(p+q)t, E, 1-E and p+qE), not formed again.
 The fit window runs from tick 0 through the first saturated tick, so
 post-saturation flat tail ticks never influence the fit.
 """
@@ -54,23 +56,29 @@ class FitResult:
         return json.dumps({**fields.pop("params"), **fields}, indent=2)
 
 
-def _jacobian(p: float, q: float, t: np.ndarray, e: np.ndarray, out: np.ndarray):
-    """Write (dn/dp, dn/dq) of the curve at E = exp(-(p+q)t) into out's two
-    rows: with s = p+q, D = p+qE and w = E/D^2,
-    dn/dp = w (q(1-E) + p s t) and dn/dq = p w (s t - (1-E))."""
+def _jacobian(p: float, q: float, terms, out: np.ndarray):
+    """Write (dn/dp, dn/dq) of the curve into out's two rows, from the
+    `terms` (nst = -(p+q)t, E, 1-E, D = p+qE) that `_curve` formed at the
+    same (p, q): with w = E/D^2,
+    dn/dp = w (q(1-E) - p nst) and dn/dq = (-p w)(nst + (1-E)).
+
+    These are the expressions w (q(1-E) + p s t) and p w (s t - (1-E)),
+    s t = (p+q)t, with nst in place of -(s t). Negation is exact and IEEE
+    rounding is sign-symmetric, so every product, sum and difference has
+    the same magnitude either way and both forms give the same values; the
+    one difference is dn/dq at t = 0, which is -0.0 here."""
+    nst, e, one_minus_e, denom = terms
     dn_dp, dn_dq = out
-    st = (p + q) * t
-    one_minus_e = 1.0 - e
-    w = e / (p + q * e) ** 2
-    np.multiply(w, q * one_minus_e + p * st, out=dn_dp)
-    np.multiply(p * w, st - one_minus_e, out=dn_dq)
+    w = e / denom**2
+    np.multiply(w, q * one_minus_e - p * nst, out=dn_dp)
+    np.multiply((-p) * w, nst + one_minus_e, out=dn_dq)
     return out
 
 
 def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
     """The curve of `_curve` with its partial derivatives wrt p and q."""
-    n, e = _curve(p, q, t)
-    dn_dp, dn_dq = _jacobian(p, q, t, e, np.empty((2, *t.shape)))
+    n, terms = _curve(p, q, t)
+    dn_dp, dn_dq = _jacobian(p, q, terms, np.empty((2, *t.shape)))
     return n, dn_dp, dn_dq
 
 
@@ -117,17 +125,17 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
     p, q = _clip(p0, q0)
 
     def trial(pv: float, qv: float):
-        n, e = _curve(pv, qv, t)
+        n, terms = _curve(pv, qv, t)
         resid = y - n
-        return resid, e, float(resid @ resid)
+        return resid, terms, float(resid @ resid)
 
-    resid, e, current = trial(p, q)
+    resid, terms, current = trial(p, q)
     j = np.empty((2, len(y)))
     lam = 1e-3
     converged = False
     iteration = 0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        _jacobian(p, q, t, e, j)
+        _jacobian(p, q, terms, j)
         (a, b), (_, c) = (j @ j.T).tolist()
         g0, g1 = (j @ resid).tolist()
         # raise the damping until a step does not increase the SSE
@@ -141,7 +149,7 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
             cand_p, cand_q = _clip(
                 p + (d1 * g0 - b * g1) / det, q + (d0 * g1 - b * g0) / det
             )
-            cand_resid, cand_e, cand_sse = trial(cand_p, cand_q)
+            cand_resid, cand_terms, cand_sse = trial(cand_p, cand_q)
             if cand_sse <= current:
                 break
             lam *= 10.0
@@ -152,7 +160,7 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         step = math.hypot(cand_p - p, cand_q - q)
         scale = math.hypot(p, q)
         p, q, current = cand_p, cand_q, cand_sse
-        resid, e = cand_resid, cand_e
+        resid, terms = cand_resid, cand_terms
         lam = max(lam * 0.25, 1e-12)
         if step <= STEP_TOL * max(scale, 1e-30):
             converged = True

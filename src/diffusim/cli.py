@@ -11,10 +11,10 @@ commands that draw at random (`simulate`, `sweep`, `netstats`), `--out` to
 the commands that write a file.
 
 Every command that writes a primary output file also writes a sibling
-`<output>.manifest.json` recording the tool version, seed (null for a
-command without `--seed`), and the full parameter set needed to reproduce
-the file byte for byte (the manifest itself carries a timestamp and is
-excluded from byte-identity guarantees).
+`<output>.manifest.json` recording the tool and numpy versions, seed (null
+for a command without `--seed`), and the full parameter set needed to
+reproduce the file byte for byte (the manifest itself carries a timestamp
+and is excluded from byte-identity guarantees).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -98,6 +98,8 @@ def _write_manifest(args, primary_output, parameters: dict,
     manifest = {
         "tool": "diffusim",
         "version": diffusim.__version__,
+        # a run's random stream depends on numpy's Generator methods
+        "numpy_version": np.__version__,
         "command": args.command,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "master_seed": getattr(args, "seed", None),

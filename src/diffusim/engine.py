@@ -163,15 +163,20 @@ def _random_sequential_pass(
     "ranked after the adopter" is one 2-D compare of their ranks against
     the adopter's. A padding entry names the spare last slot, which ranks
     last like every agent not deciding; `need` and `seen` hold `_DONE`
-    there, so it never joins a wave.
+    there, so it never joins a wave. The gathered rows are cast to intp
+    once per wave: numpy casts an int32 index array to intp on every fancy
+    index and `ufunc.at`, and they index 3-4 times. The table itself stays
+    int32, which halves its memory; `rank` is int32 too, read with `take`.
 
     Updates `need` and `adopted` in place; returns the number of agents that
     adopted.
     """
     n = len(table)
     candidates = np.flatnonzero(~(adopted | innovator))
-    rank = np.full(n + 1, n, dtype=np.int64)  # non-deciders and slot n rank last
-    rank[candidates[rng.permutation(len(candidates))]] = np.arange(len(candidates))
+    rank = np.full(n + 1, n, dtype=np.int32)  # non-deciders and slot n rank last
+    rank[candidates[rng.permutation(len(candidates))]] = np.arange(
+        len(candidates), dtype=np.int32
+    )
     seen = need.copy()
     slot = np.empty(n, dtype=np.int64)  # scratch for the wave dedupe
     wave = np.flatnonzero(need <= 0)
@@ -180,9 +185,9 @@ def _random_sequential_pass(
         adopted[wave] = True
         need[wave] = seen[wave] = _DONE
         total += len(wave)
-        touched = table.take(wave, axis=0)
+        touched = table.take(wave, axis=0).astype(np.intp)
         np.subtract.at(need, touched.ravel(), _ONE)
-        later = touched[rank[touched] > rank[wave][:, None]]
+        later = touched[rank.take(touched) > rank.take(wave)[:, None]]
         np.subtract.at(seen, later, _ONE)
         ready = later[seen[later] <= 0]
         # dedupe in O(wave): of the entries naming one agent, exactly one

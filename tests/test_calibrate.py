@@ -2,16 +2,25 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diffusim.bass import BassParams, _curve, bass_curve
 from diffusim.calibrate import (
+    MAX_DAMPING,
+    MAX_ITERATIONS,
+    P_MAX,
+    P_MIN,
+    Q_MAX,
+    Q_MIN,
+    STEP_TOL,
     DegenerateTrajectory,
     FitResult,
+    _clip,
     _curve_and_jacobian,
     fit_bass,
     fit_window,
@@ -178,12 +187,137 @@ def test_trial_point_curve_is_bit_identical(p, q, ticks):
     # as the curve the Jacobian step is taken from, as bass_curve, and as
     # the expression the Jacobian path has always evaluated
     t = np.arange(ticks, dtype=float)
-    n = _curve(p, q, t)[0]
+    n, terms = _curve(p, q, t)
     assert n.tobytes() == _curve_and_jacobian(p, q, t)[0].tobytes()
     assert n.tobytes() == bass_curve(BassParams(p, q), t).tobytes()
     e = np.exp(-(p + q) * t)
     denom = p + q * e
     assert n.tobytes() == (p * (1.0 - e) / denom).tobytes()
+    # and the terms the Jacobian reuses are the ones n was formed from
+    want = (-(p + q) * t, e, 1.0 - e, denom)
+    assert [a.tobytes() for a in terms] == [a.tobytes() for a in want]
+
+
+# A frozen copy of the fit loop as it was before its Jacobian reused the
+# trial point's curve terms: the curve returned (n, E) and the Jacobian formed
+# (p+q)t, 1-E and p+qE again. The fit must give the same FitResult bits.
+
+def frozen_jacobian(p, q, t, e):
+    st = (p + q) * t
+    one_minus_e = 1.0 - e
+    w = e / (p + q * e) ** 2
+    return w * (q * one_minus_e + p * st), (p * w) * (st - one_minus_e)
+
+
+def frozen_fit_bass(traj):
+    y = fit_window(traj)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    t = np.arange(len(y), dtype=float)
+    p, q = _clip(max(float(y[1]), 1e-3), 0.5)
+
+    def trial(pv, qv):
+        e = np.exp(-(pv + qv) * t)
+        resid = y - pv * (1.0 - e) / (pv + qv * e)
+        return resid, e, float(resid @ resid)
+
+    resid, e, current = trial(p, q)
+    j = np.empty((2, len(y)))
+    lam = 1e-3
+    converged = False
+    iteration = 0
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        j[0], j[1] = frozen_jacobian(p, q, t, e)
+        (a, b), (_, c) = (j @ j.T).tolist()
+        g0, g1 = (j @ resid).tolist()
+        while lam <= MAX_DAMPING:
+            d0 = a + lam * max(a, 1e-14)
+            d1 = c + lam * max(c, 1e-14)
+            det = d0 * d1 - b * b
+            if not det > 0.0:
+                lam *= 10.0
+                continue
+            cand_p, cand_q = _clip(
+                p + (d1 * g0 - b * g1) / det, q + (d0 * g1 - b * g0) / det
+            )
+            cand_resid, cand_e, cand_sse = trial(cand_p, cand_q)
+            if cand_sse <= current:
+                break
+            lam *= 10.0
+        else:
+            converged = True
+            break
+        step = math.hypot(cand_p - p, cand_q - q)
+        scale = math.hypot(p, q)
+        p, q, current = cand_p, cand_q, cand_sse
+        resid, e = cand_resid, cand_e
+        lam = max(lam * 0.25, 1e-12)
+        if step <= STEP_TOL * max(scale, 1e-30):
+            converged = True
+            break
+
+    return FitResult(
+        params=BassParams(p, q),
+        r_squared=1.0 - current / ss_tot,
+        residual_sum=current,
+        iterations=iteration,
+        converged=converged,
+        p_at_bound=(p <= P_MIN or p >= P_MAX),
+        q_at_bound=(q <= Q_MIN or q >= Q_MAX),
+    )
+
+
+def assert_same_fit(got, want):
+    # floats by repr, so a sign of zero or one ulp counts
+    for field in dataclasses.fields(FitResult):
+        name = field.name
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1e-6, 1.0),
+    q=st.floats(0.0, 1.0),
+    ticks=st.integers(1, 301),
+)
+def test_jacobian_from_curve_terms_equals_frozen_expression(p, q, ticks):
+    t = np.arange(ticks, dtype=float)
+    dn_dp, dn_dq = _curve_and_jacobian(p, q, t)[1:]
+    want_p, want_q = frozen_jacobian(p, q, t, np.exp(-(p + q) * t))
+    assert np.array_equal(dn_dp, want_p) and np.array_equal(dn_dq, want_q)
+    # bit for bit, but for the sign of dn/dq's zero at t = 0
+    assert dn_dp.tobytes() == want_p.tobytes()
+    assert np.abs(dn_dq).tobytes() == np.abs(want_q).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(0.002, 0.05),
+    q=st.floats(0.1, 1.6),
+    population=st.integers(200, 5000),
+    ticks=st.integers(10, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(0.015, 0.4, 3000, 80, 1)  # interior optimum
+@example(0.01, 1.3, 2000, 30, 2)  # converges with q on its bound
+@example(0.01, 1.1, 2000, 30, 0)  # stops at the iteration cap
+def test_fit_equals_frozen_fit_loop(p, q, population, ticks, seed):
+    traj = noisy_bass_trajectory(p, q, population, ticks, seed)
+    try:
+        want = frozen_fit_bass(traj)
+    except ZeroDivisionError:  # zero variance: fit_bass raises instead
+        with pytest.raises(DegenerateTrajectory):
+            fit_bass(traj)
+        return
+    assert_same_fit(fit_bass(traj), want)
+
+
+def test_frozen_fit_examples_reach_the_bound_and_the_cap():
+    # the @example cases above cover the fit's two non-interior endings
+    bound = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.3, 2000, 30, 2))
+    assert bound.converged and bound.q_at_bound and bound.iterations < MAX_ITERATIONS
+    capped = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 30, 0))
+    assert not capped.converged and capped.q_at_bound
+    assert capped.iterations == MAX_ITERATIONS
 
 
 class TestDegenerateAndInvalid:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
@@ -193,6 +194,7 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     assert lines[1] == "0,0,0.0"
     manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
     assert manifest["tool"] == "diffusim"
+    assert manifest["numpy_version"] == np.__version__
     assert manifest["command"] == "simulate"
     assert manifest["master_seed"] == 7
     assert str(out) in manifest["outputs"]
@@ -339,6 +341,7 @@ def test_sweep_restricted_grid(tmp_path, capsys):
     assert len(lines) == 1 + 4  # 1 k x 1 du x 1 sigma x 2 p_r x 2 gamma
     assert (out / "envelope_k8_du0.8_uniform.csv").exists()
     manifest = json.loads((out / "sweep.csv.manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
     assert manifest["parameters"]["gamma_levels"] == [10, 40]
     assert manifest["parameters"]["sigma_levels"] == ["uniform"]
     assert set(manifest["parameters"]) == {
@@ -562,6 +565,7 @@ def test_commands_without_seed_record_a_null_seed(sweep_dir, tmp_path,
     for out in (curve, fit, hull):
         manifest = json.loads(manifest_path(out).read_text())
         assert manifest["master_seed"] is None
+        assert manifest["numpy_version"] == np.__version__
 
 
 # ---- roi ----
@@ -685,7 +689,8 @@ def test_netstats_writes_file_with_manifest(tmp_path, capsys):
                          "--sample", "400", "--out", str(out))
     assert code == EXIT_OK
     assert json.loads(out.read_text())["nodes"] == 400
-    assert (tmp_path / "stats.json.manifest.json").exists()
+    manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
 
 
 # ---- options a command does not take ----
