@@ -95,11 +95,11 @@ def fit_window(traj: AdoptionTrajectory) -> np.ndarray:
     return props
 
 
-def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitResult:
+def fit_bass(traj: AdoptionTrajectory) -> FitResult:
     """Least-squares fit of the adoption curve to a trajectory.
 
     Minimizes sum_t (observed_t - n(p, q, t))^2 over the fit window by
-    damped Gauss-Newton with analytic Jacobian. Default start: p0 =
+    damped Gauss-Newton with analytic Jacobian. Start: p0 =
     max(observed tick-1 proportion, 1e-3), q0 = 0.5. Convergence when the
     relative parameter step drops below 1e-10; the iteration cap (500) sets
     converged=False rather than raising.
@@ -117,12 +117,7 @@ def fit_bass(traj: AdoptionTrajectory, init: BassParams | None = None) -> FitRes
         raise DegenerateTrajectory("observed proportions have zero variance")
 
     t = np.arange(len(y), dtype=float)
-    if init is None:
-        p0 = max(float(y[1]), 1e-3)
-        q0 = 0.5
-    else:
-        p0, q0 = init.p, init.q
-    p, q = _clip(p0, q0)
+    p, q = _clip(max(float(y[1]), 1e-3), 0.5)
 
     def trial(pv: float, qv: float):
         n, terms = _curve(pv, qv, t)

@@ -306,6 +306,8 @@ def cmd_envelope(args) -> int:
     sigma = _sigma(args.sigma, "argument --sigma")
     _checked("argument --k", Neighborhood.for_k, args.k)
     records = _read("sweep CSV", read_sweep_csv, args.sweep_csv)
+    # read before anything is written, so a bad points file leaves no output
+    points = _read("points CSV", read_empirical_csv, args.points) if args.points else []
     try:
         env = envelope(records, (args.k, args.delta_u, sigma))
     except TooFewPoints as exc:
@@ -313,7 +315,6 @@ def cmd_envelope(args) -> int:
         return EXIT_RUNTIME
     write_envelope_csv(env, args.out)
     if args.points:
-        points = _read("points CSV", read_empirical_csv, args.points)
         print("label,p,q,location")
         for label, p, q in points:
             where = locate((p, q), env)

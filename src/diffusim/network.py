@@ -74,9 +74,8 @@ class SocialNetwork:
     """Immutable undirected network over lattice nodes.
 
     The stored form is the padded neighbor table (`neighbor_table`) and the
-    `degrees`; the CSR table (`indptr`, `indices`) and the canonical edge
-    list are derived from them on first use. All arrays are read-only;
-    rewiring produces a new instance.
+    `degrees`; the canonical edge list is derived from them on first use.
+    All arrays are read-only; rewiring produces a new instance.
 
     Raises:
         ValueError: edges not an (E, 2) array, an endpoint outside
@@ -92,8 +91,6 @@ class SocialNetwork:
             layout): row i holds node i's neighbors, sorted ascending, then
             node_count as padding.
         degrees: number of neighbors of each node.
-        indptr, indices: the same lists as a CSR table; neighbors of node i
-            are indices[indptr[i]:indptr[i+1]].
     """
 
     def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
@@ -147,19 +144,6 @@ class SocialNetwork:
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor indices of one node (read-only view)."""
         return self.neighbor_table[node, : self.degrees[node]]
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-        indptr.setflags(write=False)
-        return indptr
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """The table's entries without the padding, row by row."""
-        indices = self.neighbor_table[self.neighbor_table < self.node_count]
-        indices.setflags(write=False)
-        return indices
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -389,8 +373,11 @@ def network_stats(
     n = net.node_count
     mean_degree = 2.0 * net.edge_count / n
 
+    # the CSR form of the table: its entries without the padding, row by row
+    table = net.neighbor_table
     adj = csr_matrix(
-        (np.ones(len(net.indices), dtype=np.int8), net.indices, net.indptr),
+        (np.ones(2 * net.edge_count, dtype=np.int8), table[table < n],
+         np.concatenate(([0], np.cumsum(net.degrees)))),
         shape=(n, n),
     )
     # triangles per node: (A @ A) restricted to existing edges counts, for

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -355,8 +355,10 @@ def locate(point: tuple[float, float], env: Envelope) -> Location:
 
     The tolerance 1e-12 applies to the edge cross products, so it scales
     with edge length; generating points always classify as Inside or
-    Boundary.
+    Boundary. A non-finite coordinate raises ValueError.
     """
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise ValueError(f"point must be finite, got {tuple(point)}")
     hull = env.hull_vertices
     crosses = [
         _cross(hull[i], hull[(i + 1) % len(hull)], point) for i in range(len(hull))
@@ -388,15 +390,14 @@ def roi_check(
     profit_per_adopter: float,
     investment: float,
     roi_min: float,
-    gain: Callable[[float], float] | None = None,
 ) -> RoiReport:
     """Does the boosted strategy beat the baseline by more than roi_min?
 
     Adoption levels at the evaluation time come from each strategy's
-    curve. Gross gain defaults to profit_per_adopter * population * adoption
-    and can be swapped for any function of the adoption level; the boosted
-    side pays `investment`, the baseline pays nothing. The comparison is
-    strict: a difference exactly equal to roi_min does not pass.
+    curve. Gross gain is profit_per_adopter * population * adoption; the
+    boosted side pays `investment`, the baseline pays nothing. The
+    comparison is strict: a difference exactly equal to roi_min does not
+    pass.
 
     Raises:
         ValueError: t_star, profit_per_adopter, investment or roi_min not
@@ -415,19 +416,11 @@ def roi_check(
         )
     n_base = float(bass_curve(base, t_star))
     n_boost = float(bass_curve(boosted, t_star))
-    if gain is None:
-        gain = lambda n: profit_per_adopter * population * n  # noqa: E731
-    g_base = gain(n_base)
-    g_boost = gain(n_boost) - investment
+    g_base = profit_per_adopter * population * n_base
+    g_boost = profit_per_adopter * population * n_boost - investment
     delta = g_boost - g_base
-    return RoiReport(
-        exceeds=delta > roi_min,
-        gain_base=g_base,
-        gain_boosted=g_boost,
-        delta_gain=delta,
-        adoption_base=n_base,
-        adoption_boosted=n_boost,
-    )
+    # the fields in RoiReport's order: exceeds, the gains, then the adoptions
+    return RoiReport(delta > roi_min, g_base, g_boost, delta, n_base, n_boost)
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], path) -> None:
@@ -517,12 +510,16 @@ def write_envelope_csv(env: Envelope, path) -> None:
 
 
 def read_empirical_csv(path) -> list[tuple[str, float, float]]:
-    """Load labeled empirical (p, q) points from `label,p,q` rows."""
+    """Load labeled empirical (p, q) points from `label,p,q` rows; another
+    header, or a row whose p or q is not finite, raises ValueError."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["label", "p", "q"]:
             raise ValueError(f"expected label,p,q header, got {reader.fieldnames}")
         for row in reader:
-            points.append((row["label"], float(row["p"]), float(row["q"])))
+            p, q = float(row["p"]), float(row["q"])
+            if not (math.isfinite(p) and math.isfinite(q)):
+                raise ValueError(f"point {row['label']!r} is not finite: p={p}, q={q}")
+            points.append((row["label"], p, q))
     return points

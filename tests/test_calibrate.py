@@ -72,13 +72,6 @@ class TestNoiselessRecovery:
                 assert abs(res.params.q - true.q) / true.q < 1e-5, (p, q)
                 assert res.r_squared > 1 - 1e-10
 
-    def test_custom_init_reaches_same_optimum(self):
-        traj = synthetic_trajectory(BassParams(0.03, 0.55), 60)
-        default = fit_bass(traj)
-        seeded = fit_bass(traj, init=BassParams(0.3, 0.05))
-        assert seeded.params.p == pytest.approx(default.params.p, rel=1e-6)
-        assert seeded.params.q == pytest.approx(default.params.q, rel=1e-6)
-
 
 class TestJacobian:
     def test_grid_against_central_differences(self):

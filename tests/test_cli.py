@@ -505,6 +505,21 @@ def test_envelope_classifies_points(sweep_dir, tmp_path, capsys):
     assert lines[1].startswith("far,") and lines[1].endswith(",outside")
 
 
+def test_envelope_rejects_non_finite_points(sweep_dir, tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("label,p,q\nfar,0.9,0.05\nx,nan,nan\n")
+    code, out, err = run_cli(capsys, "envelope", str(sweep_dir / "sweep.csv"),
+                             "--k", "8", "--delta-u", "0.8",
+                             "--sigma", "uniform",
+                             "--points", str(points),
+                             "--out", str(tmp_path / "env.csv"))
+    assert code == EXIT_CONFIG
+    assert f"malformed points CSV {points}" in err
+    assert "'x' is not finite" in err
+    assert "inside" not in out
+    assert not (tmp_path / "env.csv").exists()
+
+
 def test_envelope_missing_family_is_runtime_failure(sweep_dir, tmp_path,
                                                     capsys):
     # the shared sweep has no k=4 rows, so the filter leaves too few points

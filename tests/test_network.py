@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,7 +52,7 @@ def _rewire_scalar(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> 
 def assert_same_network(a: SocialNetwork, b: SocialNetwork) -> None:
     """Equal stored form (table, degrees) and equal derived views, dtypes
     included."""
-    for name in ("neighbor_table", "degrees", "edges", "indptr", "indices"):
+    for name in ("neighbor_table", "degrees", "edges"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
@@ -327,7 +329,7 @@ def test_rewire_can_recreate_a_removed_lattice_edge():
 
 def test_rewire_never_writes_into_the_cached_lattice():
     base = build_lattice(LatticeSpec(30, 30, Neighborhood.MOORE))
-    names = ("neighbor_table", "degrees", "indptr", "indices", "edges")
+    names = ("neighbor_table", "degrees", "edges")
     before = {name: getattr(base, name).copy() for name in names}
     outs = [rewire(base, p_r, np.random.default_rng(seed))
             for seed, p_r in enumerate([0.0, 0.04, 0.3, 1.0, 0.04])]
@@ -455,27 +457,63 @@ def test_stats_mean_degree_identity():
     assert stats.mean_degree * net.node_count == pytest.approx(2 * net.edge_count)
 
 
-def test_stats_path_length_exact_on_path_graph():
-    # 2xN von Neumann ladder has known structure; check against brute force
-    net = build_lattice(LatticeSpec(2, 5, Neighborhood.VON_NEUMANN))
-    stats = network_stats(net, net.node_count)
-    # brute-force BFS oracle
-    import collections
+def _adjacency_sets(net: SocialNetwork) -> list[set[int]]:
+    return [set(net.neighbors(i).tolist()) for i in range(net.node_count)]
 
-    total = 0
-    pairs = 0
-    for s in range(net.node_count):
+
+def _bfs_path_stats(adj: list[set[int]]) -> tuple[float, int]:
+    """Brute-force oracle: mean shortest-path length over every reachable
+    ordered pair of distinct nodes, and the count of unreached pairs, by
+    one BFS from each node."""
+    total = pairs = unreached = 0
+    for s in range(len(adj)):
         dist = {s: 0}
         dq = collections.deque([s])
         while dq:
             u = dq.popleft()
-            for v in net.neighbors(u):
-                if int(v) not in dist:
-                    dist[int(v)] = dist[u] + 1
-                    dq.append(int(v))
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    dq.append(v)
         total += sum(dist.values())
         pairs += len(dist) - 1
-    assert stats.mean_path_length == pytest.approx(total / pairs)
+        unreached += len(adj) - len(dist)
+    return total / pairs, unreached
+
+
+def _triangle_clustering(adj: list[set[int]]) -> float:
+    """Brute-force oracle: mean local clustering from each node's count of
+    linked neighbor pairs; nodes of degree < 2 count 0."""
+    local = []
+    for nbrs in adj:
+        d = len(nbrs)
+        linked = sum(len(adj[j] & nbrs) for j in nbrs) / 2
+        local.append(linked / (d * (d - 1) / 2) if d >= 2 else 0.0)
+    return sum(local) / len(local)
+
+
+def test_stats_path_length_exact_on_path_graph():
+    # 2xN von Neumann ladder has known structure; check against brute force
+    net = build_lattice(LatticeSpec(2, 5, Neighborhood.VON_NEUMANN))
+    stats = network_stats(net, net.node_count)
+    mean_path, _ = _bfs_path_stats(_adjacency_sets(net))
+    assert stats.mean_path_length == pytest.approx(mean_path)
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+@pytest.mark.parametrize("p_r", [0.04, 1.0])
+def test_stats_match_brute_force_on_rewired_networks(neighborhood, p_r):
+    # every node a source, so the path length is exact, not sampled
+    net = rewire(build_lattice(LatticeSpec(20, 20, neighborhood)), p_r,
+                 np.random.default_rng(11))
+    stats = network_stats(net, net.node_count)
+    adj = _adjacency_sets(net)
+    mean_path, unreached = _bfs_path_stats(adj)
+    assert stats.mean_path_length == pytest.approx(mean_path, rel=1e-12)
+    assert stats.unreached_pairs == unreached
+    assert stats.clustering_coefficient == pytest.approx(
+        _triangle_clustering(adj), rel=1e-12
+    )
 
 
 def test_stats_requires_rng_when_sampling():

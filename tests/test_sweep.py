@@ -350,6 +350,14 @@ class TestLocate:
     def test_point_on_edge_line_but_past_polygon(self):
         assert locate((5.0, 0.0), self.env) is Location.OUTSIDE
 
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 1.5), (2.0, -math.inf)]
+    )
+    def test_non_finite_point_is_rejected(self, point):
+        # every compare with NaN is false, so a NaN would pass every edge test
+        with pytest.raises(ValueError, match="finite"):
+            locate(point, self.env)
+
 
 class TestRoiCheck:
     population = MOORE_30.node_count
@@ -415,14 +423,20 @@ class TestRoiCheck:
         assert report.adoption_boosted > report.adoption_base
         assert report.exceeds
 
-    def test_injectable_gain(self):
-        base = BassParams(0.02, 0.4)
+    def test_gain_is_profit_times_population_times_adoption(self):
+        base, boost = BassParams(0.02, 0.4), BassParams(0.03, 0.45)
+        profit, investment = 0.37, 12.5
         report = roi_check(
-            base, base, self.population, t_star=10.0, profit_per_adopter=0.0,
-            investment=0.0, roi_min=-1.0, gain=lambda n: 42.0,
+            base, boost, self.population, t_star=10.0, profit_per_adopter=profit,
+            investment=investment, roi_min=-1.0,
         )
-        assert report.gain_base == 42.0
-        assert report.exceeds  # 0 > -1
+        # the same operand order as the CLI has always used, so equal bits
+        assert report.gain_base == profit * self.population * report.adoption_base
+        assert report.gain_boosted == (
+            profit * self.population * report.adoption_boosted - investment
+        )
+        assert report.delta_gain == report.gain_boosted - report.gain_base
+        assert report.exceeds  # delta > -1
 
 
 class TestCsvRoundTrips:
@@ -468,6 +482,13 @@ class TestCsvRoundTrips:
         path.write_text("label,p,q\nalpha,0.01,0.3\nbeta,0.02,0.5\n")
         points = read_empirical_csv(path)
         assert points == [("alpha", 0.01, 0.3), ("beta", 0.02, 0.5)]
+
+    @pytest.mark.parametrize("p,q", [("nan", "0.3"), ("0.01", "inf"), ("-inf", "nan")])
+    def test_empirical_csv_rejects_non_finite_point(self, tmp_path, p, q):
+        path = tmp_path / "points.csv"
+        path.write_text(f"label,p,q\nalpha,0.01,0.3\nbeta,{p},{q}\n")
+        with pytest.raises(ValueError, match="'beta' is not finite"):
+            read_empirical_csv(path)
 
     def test_empirical_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
