@@ -19,9 +19,13 @@ adopter neighbors so far; it adopts once `need` <= 0. Innovators and adopters
 hold `_DONE`, which no later decrement brings to 0. Neighbors are gathered
 with one `take` of rows of the network's padded `neighbor_table`, whose
 padding entries name node_count: `need` has one spare last slot, held at
-`_DONE`, that soaks up their decrements. A synchronous tick is one compare,
-one neighbor gather and one scatter. The countdown changes neither the
-decision rule nor the random-sequential contract.
+`_DONE`, that soaks up their decrements. A synchronous tick is one compare
+into a bool mask allocated once per run, one `nonzero`, one neighbor gather
+and one scatter; the tick's seeds are joined to its deciders only while
+seeding lasts. The adopted and innovator masks are kept only when something
+reads them: an `on_tick` callback, or the random-sequential pass. The
+countdown changes neither the decision rule nor the random-sequential
+contract.
 """
 
 from __future__ import annotations
@@ -116,22 +120,33 @@ def adoption_threshold(neighbor_count: int, params: DecisionParams) -> int:
 def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarray:
     """Per-node adopter-neighbor threshold, looked up in a table indexed by
     degree; isolated nodes can only adopt spontaneously (their v+ is taken
-    as 0)."""
-    degrees = net.degrees
-    isolated = 0 if delta_utility(0.0, params) > 0.0 else net.node_count + 1
+    as 0).
+
+    Returned as the run's starting int32 countdown: n + 1 entries, the last
+    (the padding's slot) `_DONE`; the never-reached threshold node_count + 1
+    fits int32. The lookup writes straight into it: `take` with `out`
+    buffers its whole result under mode "raise", and "clip" never acts
+    here, as every degree indexes the table."""
+    n, degrees = net.node_count, net.degrees
+    isolated = 0 if delta_utility(0.0, params) > 0.0 else n + 1
     table = [isolated] + [
         adoption_threshold(d, params) for d in range(1, degrees.max(initial=0) + 1)
     ]
-    return np.asarray(table, dtype=np.int64)[degrees]
+    need = np.empty(n + 1, dtype=np.int32)
+    need[n] = _DONE
+    np.asarray(table, dtype=np.int32).take(degrees, out=need[:n], mode="clip")
+    return need
 
 
 def _adopt(
-    table: np.ndarray, nodes: np.ndarray, adopted: np.ndarray, need: np.ndarray
+    table: np.ndarray, nodes: np.ndarray, adopted: np.ndarray | None,
+    need: np.ndarray,
 ) -> int:
-    """Mark `nodes` adopted and take one off each of their neighbors' `need`
-    (and the spare slot's, once per padding entry of their `table` rows), in
-    place; returns len(nodes)."""
-    adopted[nodes] = True
+    """Mark `nodes` adopted (when `adopted` is kept) and take one off each of
+    their neighbors' `need` (and the spare slot's, once per padding entry of
+    their `table` rows), in place; returns len(nodes)."""
+    if adopted is not None:
+        adopted[nodes] = True
     np.subtract.at(need, table.take(nodes, axis=0).ravel(), _ONE)
     return len(nodes)
 
@@ -229,7 +244,9 @@ def simulate(
             adopter-neighbor count at its turn reaches its threshold, and
             its adoption counts for later-ranked agents in the same tick).
         on_tick: optional callback (tick, adopted_mask, innovator_mask) with
-            read-only views, called after each tick is recorded.
+            read-only views, called after each tick is recorded. The masks
+            exist only for it (and for the random-sequential pass): without
+            it a synchronous run keeps none, which changes no result.
 
     Returns:
         AdoptionTrajectory starting at proportion 0.
@@ -250,12 +267,17 @@ def simulate(
         raise ValueError("random-sequential mode requires an rng")
 
     table = net.neighbor_table
-    need = np.full(n + 1, _DONE, dtype=np.int32)  # [n]: the padding's slot
-    need[:n] = _thresholds_by_node(net, params)
+    need = _thresholds_by_node(net, params)
     need[plan.positions] = _DONE
-    adopted = np.zeros(n, dtype=bool)
-    innovator = np.zeros(n, dtype=bool)
-    innovator[plan.positions] = True
+    # the masks are kept only for their readers: on_tick and the
+    # random-sequential pass
+    adopted = innovator = None
+    if update == RANDOM_SEQUENTIAL or on_tick is not None:
+        adopted = np.zeros(n, dtype=bool)
+        innovator = np.zeros(n, dtype=bool)
+        innovator[plan.positions] = True
+    ready = np.empty(n + 1, dtype=bool)  # the synchronous deciders' mask
+    last_tick = plan.last_tick
 
     proportions = [0.0]
     adopted_total = 0
@@ -263,16 +285,17 @@ def simulate(
     zero_change_streak = 0
 
     for t in range(1, max_ticks + 1):
-        seeds = plan.seeds_at(t)
-
         if update == SYNCHRONOUS:
             # decisions read start-of-tick state: need not yet counting
             # this tick's seeds or adopters
-            deciders = np.flatnonzero(need <= 0)
-            need[deciders] = _DONE
-            delta = _adopt(table, np.concatenate((seeds, deciders)), adopted, need)
+            np.less_equal(need, 0, out=ready)
+            nodes = ready.nonzero()[0]
+            need[nodes] = _DONE
+            if t <= last_tick:
+                nodes = np.concatenate((plan.seeds_at(t), nodes))
+            delta = _adopt(table, nodes, adopted, need)
         else:
-            delta = _adopt(table, seeds, adopted, need)
+            delta = _adopt(table, plan.seeds_at(t), adopted, need)
             delta += _random_sequential_pass(table, need, adopted, innovator, rng)
         adopted_total += delta
         proportions.append(adopted_total / n)
@@ -287,7 +310,7 @@ def simulate(
         if adopted_total == n:
             saturated_at = t
             break
-        if t >= plan.last_tick:
+        if t >= last_tick:
             zero_change_streak = zero_change_streak + 1 if delta == 0 else 0
             if zero_change_streak >= 2:
                 break

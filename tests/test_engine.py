@@ -13,6 +13,7 @@ from diffusim.engine import (
     SYNCHRONOUS,
     AdoptionTrajectory,
     DecisionParams,
+    _DONE,
     _thresholds_by_node,
     adoption_threshold,
     delta_utility,
@@ -138,12 +139,22 @@ def assert_ticks_follow_rule(net, plan, params, max_ticks) -> None:
     """Replay every synchronous tick against the per-agent rule: an agent
     adopts at t iff it is seeded at t or, not being an innovator, its
     adopter-neighbor fraction at the start of t (0 when it has no neighbors)
-    gives delta_utility > 0."""
+    gives delta_utility > 0.
+
+    The run without `on_tick`, the one sweeps make, keeps no adoption mask,
+    so it must give the same trajectory as the observed run, and each
+    observed mask must hold as many adopters as that tick's proportion."""
     states = []
-    simulate(
+    observed = simulate(
         net, plan, params, max_ticks,
         on_tick=lambda t, adopted, innov: states.append((t, adopted.copy())),
     )
+    unobserved = simulate(net, plan, params, max_ticks)
+    assert np.array_equal(observed.proportions, unobserved.proportions)
+    assert observed.saturated_at == unobserved.saturated_at
+    assert [t for t, _ in states] == list(range(1, len(observed.proportions)))
+    for t, current in states:
+        assert np.count_nonzero(current) == round(observed.proportions[t] * net.node_count)
     seeded_at = {}
     for i, node in enumerate(plan.positions.tolist()):
         seeded_at.setdefault(1 + i // plan.gamma, set()).add(int(node))
@@ -419,7 +430,10 @@ class TestThresholdTable:
     @staticmethod
     def assert_thresholds_by_degree(net, params):
         thresholds = _thresholds_by_node(net, params)
-        assert thresholds.dtype == np.int64
+        # the run's starting countdown: one more slot, for the padding
+        assert thresholds.dtype == np.int32
+        assert len(thresholds) == net.node_count + 1
+        assert thresholds[-1] == _DONE
         for node, degree in enumerate(net.degrees.tolist()):
             if degree == 0:  # v+ taken as 0: spontaneous or never
                 spontaneous = delta_utility(0.0, params) > 0.0
@@ -458,7 +472,7 @@ class TestThresholdTable:
         params = DecisionParams(delta_u=delta_u)
         self.assert_thresholds_by_degree(net, params)
         expected_isolated = 0 if delta_u > 1.0 else net.node_count + 1
-        assert _thresholds_by_node(net, params)[3:].tolist() == [expected_isolated] * 3
+        assert _thresholds_by_node(net, params)[3:6].tolist() == [expected_isolated] * 3
 
 
 class TestRandomSequentialMode:
