@@ -182,30 +182,34 @@ class NetworkStats:
     unreached_pairs: int
 
 
-def _lattice_edges(rows: int, cols: int, neighborhood: Neighborhood) -> np.ndarray:
-    idx = np.arange(rows * cols, dtype=np.int32).reshape(rows, cols)
-    pairs = [
-        np.column_stack((idx[:, :-1].ravel(), idx[:, 1:].ravel())),  # east
-        np.column_stack((idx[:-1, :].ravel(), idx[1:, :].ravel())),  # south
-    ]
-    if neighborhood is Neighborhood.MOORE:
-        pairs.append(
-            np.column_stack((idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()))  # southeast
-        )
-        pairs.append(
-            np.column_stack((idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()))  # southwest
-        )
-    return np.concatenate(pairs)
-
-
 @lru_cache(maxsize=8)
 def build_lattice(spec: LatticeSpec) -> SocialNetwork:
     """Regular (non-toroidal) lattice for the given geometry.
 
+    The padded table is written straight from the grid; no edge list is
+    built. Column j holds each node's neighbor at the j-th neighborhood
+    offset, in ascending index offset, read from the row-major index grid
+    padded with node_count. Sorting each row then only moves the padding
+    to the right. A 2-row or 2-col lattice has no node of full degree, so
+    its table is trimmed to its largest degree.
+
     Cached: lattices are immutable and shared freely across runs.
     """
-    edges = _lattice_edges(spec.rows, spec.cols, spec.neighborhood)
-    return SocialNetwork(edges, spec, rewire_prob=0.0)
+    rows, cols, n = spec.rows, spec.cols, spec.node_count
+    grid = np.full((rows + 2, cols + 2), n, dtype=np.int32)
+    grid[1:-1, 1:-1] = np.arange(n, dtype=np.int32).reshape(rows, cols)
+    if spec.neighborhood is Neighborhood.MOORE:
+        offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+    else:
+        offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    table = np.empty((rows, cols, len(offsets)), dtype=np.int32)
+    for j, (dr, dc) in enumerate(offsets):
+        table[:, :, j] = grid[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+    table = table.reshape(n, len(offsets))
+    table.sort(axis=1)
+    degrees = np.count_nonzero(table < n, axis=1)
+    table = np.ascontiguousarray(table[:, : degrees.max()])
+    return SocialNetwork._from_table(table, degrees, spec, 0.0)
 
 
 def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNetwork:

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -262,6 +261,9 @@ def run_sweep(
     if jobs <= 1:
         blocks = map(_run_config_block, tasks)
     else:
+        # imported here, so that a --jobs 1 sweep never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = pool.map(_run_config_block, tasks, chunksize=8)
     return [record for block in blocks for record in block]

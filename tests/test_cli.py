@@ -735,15 +735,17 @@ import json, sys
 from diffusim import cli
 from diffusim.network import LatticeSpec, Neighborhood, build_lattice, network_stats
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+def modules(prefix):
+    return sorted(name for name in sys.modules if name.startswith(prefix))
 
 config, out = sys.argv[1:]
 assert cli.main(["sweep", config, "--out", out]) == 0
-after_sweep = scipy_modules()
+after_sweep = modules("scipy")
+pool_after_sweep = modules("concurrent.futures")
 stats = network_stats(build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE)), 25)
 print(json.dumps({"after_sweep": after_sweep,
-                  "after_netstats": scipy_modules(),
+                  "pool_after_sweep": pool_after_sweep,
+                  "after_netstats": modules("scipy"),
                   "mean_degree": stats.mean_degree}))
 """
 
@@ -763,6 +765,8 @@ def test_sweep_loads_no_scipy_until_network_stats(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["after_sweep"] == []
+    # a --jobs 1 sweep runs in-process and never loads the process pool
+    assert loaded["pool_after_sweep"] == []
     assert "scipy.sparse.csgraph" in loaded["after_netstats"]
     assert loaded["mean_degree"] == pytest.approx(2 * 72 / 25)
 

@@ -128,12 +128,16 @@ def test_200x200_edge_counts():
 
 
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
-@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 4), (20, 20)])
+@pytest.mark.parametrize(
+    "rows,cols", [(2, 2), (2, 3), (3, 2), (3, 5), (7, 4), (20, 20)]
+)
 def test_lattice_matches_geometric_oracle(rows, cols, neighborhood):
-    net = build_lattice(LatticeSpec(rows, cols, neighborhood))
-    assert set(map(tuple, net.edges.tolist())) == geometric_edge_set(
-        rows, cols, neighborhood
-    )
+    # the whole stored form (table width and padding, degrees and their
+    # dtypes) against the validating constructor fed the oracle's edges;
+    # 2-row and 2-col lattices have a table narrower than k
+    spec = LatticeSpec(rows, cols, neighborhood)
+    edges = sorted(geometric_edge_set(rows, cols, neighborhood))
+    assert_same_network(build_lattice(spec), SocialNetwork(edges, spec, 0.0))
 
 
 def test_symmetry_exhaustive_small():
