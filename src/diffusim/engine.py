@@ -9,23 +9,22 @@ private utility difference and adopts iff
 Updates are synchronous by default: all decisions in tick t read the adoption
 state as of the end of tick t-1. A random-sequential mode is available as a
 sensitivity check; it is never the default. Its contract: after the tick's
-seeds activate, one `rng.permutation` is drawn over the eligible agents (in
-index order); an agent adopts iff its adopter-neighbor count at its turn
-reaches its threshold, so adoptions count for later-ranked agents in the
-same tick.
+seeds activate, one `rng.permutation` is drawn over the undecided agents
+(neither innovators nor adopted, in index order); an agent adopts iff its
+adopter-neighbor count at its turn reaches its threshold, so adoptions count
+for later-ranked agents in the same tick.
 
-An agent's state is one int32 countdown, `need`: its threshold minus its
+An agent's only state is one int32 countdown, `need`: its threshold minus its
 adopter neighbors so far; it adopts once `need` <= 0. Innovators and adopters
-hold `_DONE`, which no later decrement brings to 0. Neighbors are gathered
-with one `take` of rows of the network's padded `neighbor_table`, whose
-padding entries name node_count: `need` has one spare last slot, held at
-`_DONE`, that soaks up their decrements. A synchronous tick is one compare
-into a bool mask allocated once per run, one `nonzero`, one neighbor gather
-and one scatter; the tick's seeds are joined to its deciders only while
-seeding lasts. The adopted and innovator masks are kept only when something
-reads them: an `on_tick` callback, or the random-sequential pass. The
-countdown changes neither the decision rule nor the random-sequential
-contract.
+hold `_DONE`, which no later decrement brings below `_DECIDED`, while an
+undecided agent's `need` stays within [-node_count, node_count + 1]; so
+`need < _DECIDED` is "undecided", and an adopted mask is built from `need`
+only for an `on_tick` reader. Neighbors are gathered with one `take` of rows
+of the network's padded `neighbor_table`, whose padding entries name
+node_count: `need` has one spare last slot, held at `_DONE`, that soaks up
+their decrements. A synchronous tick is one compare into a bool mask
+allocated once per run, one `nonzero`, one neighbor gather and one scatter;
+the tick's seeds are joined to its deciders only while seeding lasts.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from diffusim.seeding import SeedingPlan
 SYNCHRONOUS = "synchronous"
 RANDOM_SEQUENTIAL = "random_sequential"
 _DONE = np.iinfo(np.int32).max  # `need` of innovators and adopters
+_DECIDED = _DONE // 2  # `need` at or above it: an innovator or an adopter
 _ONE = np.int32(1)  # a Python int sends ufunc.at on int32 down a slow path
 
 
@@ -138,29 +138,24 @@ def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarra
     return need
 
 
-def _adopt(
-    table: np.ndarray, nodes: np.ndarray, adopted: np.ndarray | None,
-    need: np.ndarray,
-) -> int:
-    """Mark `nodes` adopted (when `adopted` is kept) and take one off each of
-    their neighbors' `need` (and the spare slot's, once per padding entry of
-    their `table` rows), in place; returns len(nodes)."""
-    if adopted is not None:
-        adopted[nodes] = True
+def _adopt(table: np.ndarray, nodes: np.ndarray, need: np.ndarray) -> int:
+    """Take one off the `need` of each neighbor of `nodes` (and the spare
+    slot's, once per padding entry of their `table` rows), in place; returns
+    len(nodes)."""
     np.subtract.at(need, table.take(nodes, axis=0).ravel(), _ONE)
     return len(nodes)
 
 
 def _random_sequential_pass(
-    table: np.ndarray, need: np.ndarray, adopted: np.ndarray,
-    innovator: np.ndarray, rng: np.random.Generator,
+    table: np.ndarray, need: np.ndarray, rng: np.random.Generator,
 ) -> int:
-    """One tick's decisions in rng-permuted order, applied immediately.
+    """One tick's decisions under the random-sequential contract (module
+    docstring), computed in waves.
 
-    Gives what visiting the eligible agents (neither innovators nor adopted)
-    one by one, in the order of one `rng.permutation(len(candidates))`, and
-    adopting each whose `need` has reached 0 at its turn gives, but computed
-    in waves. In that loop an agent adopts iff its start-of-tick `need` minus
+    The candidates are the undecided agents, `need < _DECIDED`. Visiting
+    them one by one in the order of one `rng.permutation(len(candidates))`
+    and adopting each whose `need` has reached 0 at its turn is the
+    contract. In that loop an agent adopts iff its start-of-tick `need` minus
     the number of its neighbors that adopt earlier in the order is at most 0.
     The definition refers only to earlier-ranked agents, so it has exactly
     one solution. `seen` holds each agent's start `need` minus its
@@ -183,11 +178,10 @@ def _random_sequential_pass(
     index and `ufunc.at`, and they index 3-4 times. The table itself stays
     int32, which halves its memory; `rank` is int32 too, read with `take`.
 
-    Updates `need` and `adopted` in place; returns the number of agents that
-    adopted.
+    Updates `need` in place; returns the number of agents that adopted.
     """
     n = len(table)
-    candidates = np.flatnonzero(~(adopted | innovator))
+    candidates = np.flatnonzero(need[:n] < _DECIDED)
     rank = np.full(n + 1, n, dtype=np.int32)  # non-deciders and slot n rank last
     rank[candidates[rng.permutation(len(candidates))]] = np.arange(
         len(candidates), dtype=np.int32
@@ -197,7 +191,6 @@ def _random_sequential_pass(
     wave = np.flatnonzero(need <= 0)
     total = 0
     while len(wave):
-        adopted[wave] = True
         need[wave] = seen[wave] = _DONE
         total += len(wave)
         touched = table.take(wave, axis=0).astype(np.intp)
@@ -220,7 +213,7 @@ def simulate(
     max_ticks: int,
     rng: np.random.Generator | None = None,
     update: str = SYNCHRONOUS,
-    on_tick: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    on_tick: Callable[[int, np.ndarray], None] | None = None,
 ) -> AdoptionTrajectory:
     """Run the adoption dynamics and record the cumulative trajectory.
 
@@ -238,15 +231,12 @@ def simulate(
         params: shared decision weights.
         max_ticks: hard tick cap; must cover the seeding schedule.
         rng: required only for the random-sequential update mode.
-        update: SYNCHRONOUS (default) or RANDOM_SEQUENTIAL (sensitivity
-            mode: each tick, after the seeds, one rng.permutation over the
-            eligible agents orders the decisions; an agent adopts iff its
-            adopter-neighbor count at its turn reaches its threshold, and
-            its adoption counts for later-ranked agents in the same tick).
-        on_tick: optional callback (tick, adopted_mask, innovator_mask) with
-            read-only views, called after each tick is recorded. The masks
-            exist only for it (and for the random-sequential pass): without
-            it a synchronous run keeps none, which changes no result.
+        update: SYNCHRONOUS (default) or RANDOM_SEQUENTIAL (the
+            sensitivity mode whose contract the module docstring states).
+        on_tick: optional callback (tick, adopted) called after each tick is
+            recorded. `adopted` is a read-only bool mask of the agents
+            adopted so far, seeded innovators included, built from `need`
+            for the callback alone.
 
     Returns:
         AdoptionTrajectory starting at proportion 0.
@@ -269,13 +259,6 @@ def simulate(
     table = net.neighbor_table
     need = _thresholds_by_node(net, params)
     need[plan.positions] = _DONE
-    # the masks are kept only for their readers: on_tick and the
-    # random-sequential pass
-    adopted = innovator = None
-    if update == RANDOM_SEQUENTIAL or on_tick is not None:
-        adopted = np.zeros(n, dtype=bool)
-        innovator = np.zeros(n, dtype=bool)
-        innovator[plan.positions] = True
     ready = np.empty(n + 1, dtype=bool)  # the synchronous deciders' mask
     last_tick = plan.last_tick
 
@@ -293,19 +276,20 @@ def simulate(
             need[nodes] = _DONE
             if t <= last_tick:
                 nodes = np.concatenate((plan.seeds_at(t), nodes))
-            delta = _adopt(table, nodes, adopted, need)
+            delta = _adopt(table, nodes, need)
         else:
-            delta = _adopt(table, plan.seeds_at(t), adopted, need)
-            delta += _random_sequential_pass(table, need, adopted, innovator, rng)
+            delta = _adopt(table, plan.seeds_at(t), need)
+            delta += _random_sequential_pass(table, need, rng)
         adopted_total += delta
         proportions.append(adopted_total / n)
 
         if on_tick is not None:
-            a_view = adopted.view()
-            a_view.setflags(write=False)
-            i_view = innovator.view()
-            i_view.setflags(write=False)
-            on_tick(t, a_view, i_view)
+            # innovators hold `_DONE` from the start; unseeded ones are not
+            # adopted yet
+            adopted = need[:n] >= _DECIDED
+            adopted[plan.positions[t * plan.gamma:]] = False
+            adopted.setflags(write=False)
+            on_tick(t, adopted)
 
         if adopted_total == n:
             saturated_at = t

@@ -29,6 +29,13 @@ def _has_repeat(values: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
+def _check_gamma(gamma) -> None:
+    """Reject an introduction rate that is not a Python or numpy integer
+    >= 1 (bool is not a rate)."""
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, np.integer)) or gamma < 1:
+        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
+
+
 def last_activation_tick(count: int, gamma: int) -> int:
     """Tick of the final block when `count` innovators activate `gamma` per
     tick: ceil(count / gamma); 0 when there are none."""
@@ -48,8 +55,7 @@ class SeedingPlan:
     gamma: int
 
     def __post_init__(self) -> None:
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if _has_repeat(self.positions):
             raise ValueError("innovator positions must be distinct")
 
@@ -133,7 +139,7 @@ def schedule_innovators(
     Draws one `rng.permutation(len(positions))`.
     """
     positions = np.asarray(positions)
-    return SeedingPlan(positions[rng.permutation(len(positions))], int(gamma))
+    return SeedingPlan(positions[rng.permutation(len(positions))], gamma)
 
 
 def build_plan(

@@ -33,6 +33,7 @@ from diffusim.network import (
 from diffusim.seeding import (
     Pattern,
     SeedingPlan,
+    _check_gamma,
     build_plan,
     default_innovator_count,
     last_activation_tick,
@@ -83,8 +84,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_r <= 1.0:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if not isinstance(self.sigma, Pattern):
+            raise ValueError(f"sigma must be a Pattern, got {self.sigma!r}")
+        _check_gamma(self.gamma)
         DecisionParams(self.delta_u, self.alpha)  # checks alpha and delta_u
         if self.replication < 0:
             raise ValueError("replication must be non-negative")

@@ -3,12 +3,18 @@
 Each test asserts its criterion at the stated tolerance and prints a census
 of every violation before failing, so a red line here is a faithful report
 of a measured shortfall rather than a crash. The grid-wide checks share one
-5-replication sweep (fixed master seed) between them.
+5-replication sweep (fixed master seed) between them, and each census is
+computed once, in a module fixture, so that `test_census_matches_reference`
+can compare all four with the failure block of `test_output.txt`, the one
+copy of the reference census.
 """
 
 import dataclasses
+import difflib
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 from typing import NamedTuple
@@ -46,6 +52,7 @@ from diffusim.sweep import (
 
 MASTER_SEED = 0
 REPLICATIONS = 5
+REFERENCE_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "test_output.txt"
 
 # grid-corner cells compared against the published table: both degrees, both
 # utility gaps, rewiring off/max, seeding rate min/max; all uniform dispersion
@@ -81,18 +88,41 @@ def cell_medians(full_sweep):
     return medians
 
 
-def _census_fail(label: str, failures: list[str], total: int) -> None:
-    print(f"\n{label}: {len(failures)}/{total} violations")
-    for line in failures:
-        print("  " + line)
-    pytest.fail(
-        f"{label}: {len(failures)}/{total} violations (census above)",
-        pytrace=False,
-    )
+class Census(NamedTuple):
+    """One red test's printed report: `report` lines, printed whether or not
+    it fails, then the census of its `failures` out of `total` checks."""
+
+    label: str
+    report: list[str]
+    failures: list[str]
+    total: int
+
+    @property
+    def message(self) -> str:
+        return (
+            f"{self.label}: {len(self.failures)}/{self.total} violations "
+            f"(census above)"
+        )
+
+    @property
+    def stdout(self) -> str:
+        lines = list(self.report)
+        if self.failures:
+            lines.append(
+                f"\n{self.label}: {len(self.failures)}/{self.total} violations"
+            )
+            lines += ["  " + line for line in self.failures]
+        return "".join(line + "\n" for line in lines)
 
 
-def test_takeoff_matches_reference_table(reference_grid):
-    """Recomputed takeoff vs the published column, relative error < 1e-5."""
+def _report(census: Census) -> None:
+    print(census.stdout, end="")
+    if census.failures:
+        pytest.fail(census.message, pytrace=False)
+
+
+@pytest.fixture(scope="module")
+def takeoff_census(reference_grid) -> Census:
     failures = []
     for row in reference_grid:
         computed = takeoff_time(BassParams(row.p, row.q))
@@ -103,8 +133,12 @@ def test_takeoff_matches_reference_table(reference_grid):
                 f"{row.gamma}): computed {computed!r} vs table "
                 f"{row.takeoff!r}, rel err {rel:.3e}"
             )
-    if failures:
-        _census_fail("takeoff regression", failures, 360)
+    return Census("takeoff regression", [], failures, 360)
+
+
+def test_takeoff_matches_reference_table(takeoff_census):
+    """Recomputed takeoff vs the published column, relative error < 1e-5."""
+    _report(takeoff_census)
 
 
 def test_closed_form_matches_rk4_integration():
@@ -144,12 +178,9 @@ def test_adoption_thresholds_match_derivation():
         assert got == expected, (k, delta_u, got, expected)
 
 
-def test_full_grid_saturation_and_fit_quality(full_sweep):
-    """Every first-replication run: full adoption, saturation in [10, 60]
-    ticks, fit r2 > 0.98."""
+@pytest.fixture(scope="module")
+def saturation_census(full_sweep) -> Census:
     rep0 = [r for r in full_sweep if r.config.replication == 0]
-    assert len(rep0) == 360
-
     failures = []
     adoption_miss = window_miss = quality_miss = 0
     for record in rep0:
@@ -168,13 +199,19 @@ def test_full_grid_saturation_and_fit_quality(full_sweep):
             quality_miss += 1
             failures.append(f"{cell}: r_squared {record.r_squared:.5f} <= 0.98")
 
-    print(
+    summary = (
         f"\nfull-grid census (1st replication of {len(rep0)}): "
         f"{adoption_miss} adoption misses, {window_miss} window misses, "
         f"{quality_miss} fit-quality misses"
     )
-    if failures:
-        _census_fail("saturation and fit quality", failures, len(rep0))
+    return Census("saturation and fit quality", [summary], failures, len(rep0))
+
+
+def test_full_grid_saturation_and_fit_quality(saturation_census):
+    """Every first-replication run: full adoption, saturation in [10, 60]
+    ticks, fit r2 > 0.98."""
+    assert saturation_census.total == 360
+    _report(saturation_census)
 
 
 class _ShiftedSeries(NamedTuple):
@@ -230,11 +267,8 @@ def _sensitivity_medians(cell, update, shift_origin=False):
     return float(np.median(ps)), float(np.median(qs))
 
 
-def test_designated_rows_replicate_reference_p_q(cell_medians, reference_grid):
-    """Six grid-corner cells: 5-replication median p within +/-25% and median
-    q within +/-15% of the published row. When the stated tolerance is missed
-    the two sensitivity reruns (random-sequential updating; re-timing the fit
-    so the first seeding tick is t=0) are printed alongside the deviation."""
+@pytest.fixture(scope="module")
+def point_census(cell_medians, reference_grid) -> Census:
     reference = {
         (r.k, r.delta_u, r.sigma, r.p_r, r.gamma): r for r in reference_grid
     }
@@ -255,38 +289,38 @@ def test_designated_rows_replicate_reference_p_q(cell_medians, reference_grid):
         if abs(q_rel) > 0.15:
             failures.append(f"{cell}: q off by {q_rel:+.1%} (limit 15%)")
 
-    print("\npoint replication, synchronous engine as shipped:")
-    for line in rows:
-        print("  " + line)
-
+    report = ["\npoint replication, synchronous engine as shipped:"]
+    report += ["  " + line for line in rows]
     if failures:
-        print("\nsensitivity 1, random-sequential updating (same seeds):")
-        for cell in DESIGNATED_CELLS:
-            ref = reference[cell]
-            p_med, q_med = _sensitivity_medians(cell, RANDOM_SEQUENTIAL)
-            print(
-                f"  {cell}: median p {p_med:.7f} ({(p_med - ref.p) / ref.p:+.1%}),"
-                f" median q {q_med:.7f} ({(q_med - ref.q) / ref.q:+.1%})"
-            )
-        print("\nsensitivity 2, fit re-timed to first seeding tick = t0:")
-        for cell in DESIGNATED_CELLS:
-            ref = reference[cell]
-            p_med, q_med = _sensitivity_medians(
-                cell, SYNCHRONOUS, shift_origin=True
-            )
-            print(
-                f"  {cell}: median p {p_med:.7f} ({(p_med - ref.p) / ref.p:+.1%}),"
-                f" median q {q_med:.7f} ({(q_med - ref.q) / ref.q:+.1%})"
-            )
-        _census_fail(
-            "point replication", failures, 2 * len(DESIGNATED_CELLS)
-        )
+        for title, update, shift_origin in [
+            ("sensitivity 1, random-sequential updating (same seeds)",
+             RANDOM_SEQUENTIAL, False),
+            ("sensitivity 2, fit re-timed to first seeding tick = t0",
+             SYNCHRONOUS, True),
+        ]:
+            report.append(f"\n{title}:")
+            for cell in DESIGNATED_CELLS:
+                ref = reference[cell]
+                p_med, q_med = _sensitivity_medians(cell, update, shift_origin)
+                report.append(
+                    f"  {cell}: median p {p_med:.7f} ({(p_med - ref.p) / ref.p:+.1%}),"
+                    f" median q {q_med:.7f} ({(q_med - ref.q) / ref.q:+.1%})"
+                )
+    return Census(
+        "point replication", report, failures, 2 * len(DESIGNATED_CELLS)
+    )
 
 
-def test_micro_to_macro_trends(cell_medians):
-    """Monotone trends on 5-replication medians: p rises with seeding rate,
-    q rises with rewiring, takeoff falls with seeding rate, and rewiring at
-    0.04 multiplies q by 1.7-2.6 for the (k=8, gap 0.6) family."""
+def test_designated_rows_replicate_reference_p_q(point_census):
+    """Six grid-corner cells: 5-replication median p within +/-25% and median
+    q within +/-15% of the published row. When the stated tolerance is missed
+    the two sensitivity reruns (random-sequential updating; re-timing the fit
+    so the first seeding tick is t=0) are printed alongside the deviation."""
+    _report(point_census)
+
+
+@pytest.fixture(scope="module")
+def trend_census(cell_medians) -> Census:
     failures = []
     k_levels, du_levels = (8, 4), (0.6, 0.8)
     sigmas = ("compact", "intermediate", "uniform")
@@ -341,9 +375,59 @@ def test_micro_to_macro_trends(cell_medians):
                     f"outside [1.7, 2.6]"
                 )
 
-    print(f"\ntrend census: {checked} cell checks, {len(failures)} violations")
-    if failures:
-        _census_fail("micro-to-macro trends", failures, checked)
+    summary = f"\ntrend census: {checked} cell checks, {len(failures)} violations"
+    return Census("micro-to-macro trends", [summary], failures, checked)
+
+
+def test_micro_to_macro_trends(trend_census):
+    """Monotone trends on 5-replication medians: p rises with seeding rate,
+    q rises with rewiring, takeoff falls with seeding rate, and rewiring at
+    0.04 multiplies q by 1.7-2.6 for the (k=8, gap 0.6) family."""
+    _report(trend_census)
+
+
+def _reference_failures() -> dict[str, tuple[str, str]]:
+    """Each test's failure message and captured stdout, parsed from the
+    FAILURES block of `test_output.txt`."""
+    text = REFERENCE_OUTPUT.read_text(encoding="utf-8")
+    block = re.search(r"^=+ FAILURES =+\n(.*?)^=+ ", text, re.M | re.S).group(1)
+    parts = re.split(r"^_+ (test_\w+) _+\n", block, flags=re.M)
+    return {
+        name: re.fullmatch(
+            r"(.*?)\n-+ Captured stdout call -+\n(.*)", body, re.S
+        ).groups()
+        for name, body in zip(parts[1::2], parts[2::2])
+    }
+
+
+def test_census_matches_reference(
+    takeoff_census, saturation_census, point_census, trend_census
+):
+    """The four red tests' failure messages and printed censuses equal the
+    failure block of `test_output.txt`, byte for byte."""
+    censuses = {
+        "test_takeoff_matches_reference_table": takeoff_census,
+        "test_full_grid_saturation_and_fit_quality": saturation_census,
+        "test_designated_rows_replicate_reference_p_q": point_census,
+        "test_micro_to_macro_trends": trend_census,
+    }
+    reference = _reference_failures()
+    assert sorted(reference) == sorted(censuses)
+    diffs = [
+        "".join(difflib.unified_diff(
+            f"{reference[name][0]}\n{reference[name][1]}".splitlines(True),
+            f"{census.message}\n{census.stdout}".splitlines(True),
+            f"test_output.txt: {name}", f"this tree: {name}",
+        ))
+        for name, census in censuses.items()
+        if reference[name] != (census.message, census.stdout)
+    ]
+    assert not diffs, (
+        f"the census moved (numpy {np.__version__}). A printed digit can flip "
+        f"at a rounding edge on a CPU whose np.exp differs; a deliberate "
+        f"change updates test_output.txt and gives the reason in "
+        f"CHANGES.md.\n" + "\n".join(diffs)
+    )
 
 
 def test_reference_envelope_geometry(reference_grid):

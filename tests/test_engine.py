@@ -84,9 +84,7 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
         if on_tick is not None:
             a_view = adopted.view()
             a_view.setflags(write=False)
-            i_view = innovator.view()
-            i_view.setflags(write=False)
-            on_tick(t, a_view, i_view)
+            on_tick(t, a_view)
 
         if adopted_total == n:
             saturated_at = t
@@ -110,11 +108,11 @@ def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
     fast_states, ref_states = [], []
     fast = simulate(
         net, plan, params, max_ticks, rng=fast_rng, update=RANDOM_SEQUENTIAL,
-        on_tick=lambda t, adopted, innov: fast_states.append(adopted.copy()),
+        on_tick=lambda t, adopted: fast_states.append(adopted.copy()),
     )
     ref = _simulate_sequential_scalar(
         net, plan, params, max_ticks, ref_rng,
-        on_tick=lambda t, adopted, innov: ref_states.append(adopted.copy()),
+        on_tick=lambda t, adopted: ref_states.append(adopted.copy()),
     )
     assert np.array_equal(fast.proportions, ref.proportions)
     assert fast.saturated_at == ref.saturated_at
@@ -141,14 +139,16 @@ def assert_ticks_follow_rule(net, plan, params, max_ticks) -> None:
     adopter-neighbor fraction at the start of t (0 when it has no neighbors)
     gives delta_utility > 0.
 
-    The run without `on_tick`, the one sweeps make, keeps no adoption mask,
-    so it must give the same trajectory as the observed run, and each
-    observed mask must hold as many adopters as that tick's proportion."""
+    A callback changes nothing: the run without `on_tick`, the one sweeps
+    make, must give the same trajectory as the observed run. Each observed
+    mask is read-only and holds as many adopters as that tick's proportion."""
     states = []
-    observed = simulate(
-        net, plan, params, max_ticks,
-        on_tick=lambda t, adopted, innov: states.append((t, adopted.copy())),
-    )
+
+    def record(t, adopted):
+        assert not adopted.flags.writeable
+        states.append((t, adopted.copy()))
+
+    observed = simulate(net, plan, params, max_ticks, on_tick=record)
     unobserved = simulate(net, plan, params, max_ticks)
     assert np.array_equal(observed.proportions, unobserved.proportions)
     assert observed.saturated_at == unobserved.saturated_at
@@ -308,7 +308,7 @@ class TestSimulateBasics:
             plan,
             DecisionParams(delta_u=0.6),
             max_ticks=500,
-            on_tick=lambda t, adopted, innov: seen.append(adopted.copy()),
+            on_tick=lambda t, adopted: seen.append(adopted.copy()),
         )
         assert np.all(np.diff(traj.proportions) >= 0)
         for before, after in zip(seen, seen[1:]):
@@ -336,8 +336,8 @@ class TestSimulateBasics:
             plan,
             DecisionParams(delta_u=0.6),
             max_ticks=100,
-            on_tick=lambda t, adopted, innov: snapshots.__setitem__(
-                t, int(np.sum(adopted & innov))
+            on_tick=lambda t, adopted: snapshots.__setitem__(
+                t, int(np.sum(adopted[plan.positions]))
             ),
         )
         assert snapshots[plan.last_tick] == 40

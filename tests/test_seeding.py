@@ -153,6 +153,10 @@ def test_plan_invariants_rejected():
         SeedingPlan(np.array([1, 1, 2]), 2)
     with pytest.raises(ValueError, match="gamma"):
         SeedingPlan(np.array([1, 2]), 0)
+    # a fractional rate is rejected, not truncated to int(2.5) = 2 per tick
+    with pytest.raises(ValueError, match="gamma must be an integer"):
+        schedule_innovators(np.arange(5), 2.5, np.random.default_rng(0))
+    assert SeedingPlan(np.array([1, 2]), np.int64(2)).last_tick == 1
 
 
 @settings(max_examples=50, deadline=None)
