@@ -46,7 +46,6 @@ from diffusim.seeding import (
     schedule_innovators,
 )
 from diffusim.sweep import (
-    Envelope,
     Location,
     RoiReport,
     SimConfig,
@@ -69,7 +68,6 @@ __all__ = [
     "BassParams",
     "DecisionParams",
     "DegenerateTrajectory",
-    "Envelope",
     "FitResult",
     "LatticeSpec",
     "Location",

@@ -111,6 +111,18 @@ def _write_manifest(args, primary_output, parameters: dict,
     manifest_path(primary_output).write_text(text + "\n")
 
 
+def _emit_json(args, text: str, parameters: dict) -> int:
+    """Print a command's JSON result, or write it to `--out` with its
+    manifest when that option is given."""
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+        _write_manifest(args, args.out, parameters)
+        print(f"wrote {args.out}")
+    else:
+        print(text)
+    return EXIT_OK
+
+
 # Config casters: cast(value, source) returns the typed value or raises a
 # ConfigError naming `source`.
 
@@ -221,11 +233,11 @@ def cmd_sweep(args) -> int:
         k, du, sigma = family
         name = f"envelope_k{k}_du{du!r}_{sigma.value}.csv"
         try:
-            env = envelope(records, family)
+            hull = envelope(records, family)
         except TooFewPoints:
             skipped.append(name)
             continue
-        write_envelope_csv(env, out_dir / name)
+        write_envelope_csv(hull, out_dir / name)
         outputs.append(str(out_dir / name))
     _write_manifest(
         args, sweep_path,
@@ -248,14 +260,7 @@ def cmd_fit(args) -> int:
     except DegenerateTrajectory as exc:
         print(f"degenerate trajectory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    payload = result.to_json()
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-        _write_manifest(args, args.out, {"trajectory": args.trajectory})
-        print(f"wrote {args.out}")
-    else:
-        print(payload)
-    return EXIT_OK
+    return _emit_json(args, result.to_json(), {"trajectory": args.trajectory})
 
 
 def cmd_bass(args) -> int:
@@ -309,15 +314,15 @@ def cmd_envelope(args) -> int:
     # read before anything is written, so a bad points file leaves no output
     points = _read("points CSV", read_empirical_csv, args.points) if args.points else []
     try:
-        env = envelope(records, (args.k, args.delta_u, sigma))
+        hull = envelope(records, (args.k, args.delta_u, sigma))
     except TooFewPoints as exc:
         print(f"cannot build envelope: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    write_envelope_csv(env, args.out)
+    write_envelope_csv(hull, args.out)
     if args.points:
         print("label,p,q,location")
         for label, p, q in points:
-            where = locate((p, q), env)
+            where = locate((p, q), hull)
             print(f"{label},{p!r},{q!r},{where.value}")
     _write_manifest(
         args, args.out,
@@ -341,16 +346,9 @@ def cmd_netstats(args) -> int:
     stats = network_stats(net, sample_size=args.sample, rng=rng)
     payload = {"nodes": net.node_count, "edges": net.edge_count,
                **dataclasses.asdict(stats)}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        _write_manifest(args, args.out,
-                        {"rows": args.rows, "cols": args.cols, "k": args.k,
-                         "p_r": args.p_r, "sample": args.sample})
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return EXIT_OK
+    return _emit_json(args, json.dumps(payload, indent=2),
+                      {"rows": args.rows, "cols": args.cols, "k": args.k,
+                       "p_r": args.p_r, "sample": args.sample})
 
 
 def _count(text: str) -> int:

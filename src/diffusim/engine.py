@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from diffusim.network import SocialNetwork
+from diffusim.network import SocialNetwork, _check_integer
 from diffusim.seeding import SeedingPlan
 
 SYNCHRONOUS = "synchronous"
@@ -109,8 +109,7 @@ def adoption_threshold(neighbor_count: int, params: DecisionParams) -> int:
     Returns 0 when adoption is spontaneous (no adopter neighbors needed) and
     neighbor_count + 1 when no attainable fraction suffices.
     """
-    if neighbor_count < 1:
-        raise ValueError(f"neighbor_count must be >= 1, got {neighbor_count}")
+    _check_integer("neighbor_count", neighbor_count, 1)
     for m in range(neighbor_count + 1):
         if delta_utility(m / neighbor_count, params) > 0.0:
             return m
@@ -241,6 +240,7 @@ def simulate(
     Returns:
         AdoptionTrajectory starting at proportion 0.
     """
+    _check_integer("max_ticks", max_ticks, 0)
     n = net.node_count
     if len(plan.positions) and (
         int(plan.positions.min()) < 0 or int(plan.positions.max()) >= n
@@ -317,18 +317,29 @@ def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> AdoptionTrajectory:
-    """Load a trajectory from CSV with header tick,proportion (an extra
-    adopters column, as write_trajectory_csv writes, is accepted); its
-    population, unknown from proportions alone, is recorded as 1."""
+    """Load a trajectory from CSV with header tick,proportion. With an
+    adopters column, as write_trajectory_csv writes, the population is the
+    integer N the last row with a proportion above 0 gives, and every row
+    must have rint(proportion * N) == adopters; without one it is 1."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         header = reader.fieldnames or []  # None when the file is empty
         if "tick" not in header or "proportion" not in header:
             raise ValueError(f"missing tick/proportion columns in {header}")
-        rows = [(int(row["tick"]), float(row["proportion"])) for row in reader]
-    if [tick for tick, _ in rows] != list(range(len(rows))):
+        rows = list(reader)
+    if [int(row["tick"]) for row in rows] != list(range(len(rows))):
         raise ValueError("ticks must be consecutive from 0")
-    props = np.asarray([prop for _, prop in rows], dtype=float)
+    props = np.asarray([float(row["proportion"]) for row in rows], dtype=float)
+    population = 1
+    if "adopters" in header:
+        adopters = np.asarray([int(row["adopters"]) for row in rows], dtype=np.int64)
+        positive = np.flatnonzero(props > 0.0)
+        if len(positive):
+            last = positive[-1]
+            # capped, so that a near-zero proportion cannot overflow
+            population = round(min(int(adopters[last]) / float(props[last]), 2.0**62))
+        if population < 1 or np.any(np.rint(props * population) != adopters):
+            raise ValueError(f"adopters disagree with population {population}")
     full = np.flatnonzero(props >= 1.0)
-    return AdoptionTrajectory(props, population=1,
+    return AdoptionTrajectory(props, population=population,
                               saturated_at=int(full[0]) if len(full) else None)

@@ -39,6 +39,15 @@ class Neighborhood(enum.Enum):
         raise ValueError(f"k must be 4 or 8, got {k}")
 
 
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject a count that is not a Python or numpy integer in [low, high]
+    (no upper bound when high is None); a bool is not a count."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Lattice geometry: rows x cols grid with a neighborhood rule."""
@@ -48,10 +57,8 @@ class LatticeSpec:
     neighborhood: Neighborhood
 
     def __post_init__(self) -> None:
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError(
-                f"rows and cols must be >= 2, got {self.rows}x{self.cols}"
-            )
+        _check_integer("rows", self.rows, 2)
+        _check_integer("cols", self.cols, 2)
         if not isinstance(self.neighborhood, Neighborhood):
             raise ValueError(f"invalid neighborhood: {self.neighborhood!r}")
 
@@ -372,8 +379,7 @@ def network_stats(
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    _check_integer("sample_size", sample_size, 1)
     n = net.node_count
     mean_degree = 2.0 * net.edge_count / n
 

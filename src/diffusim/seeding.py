@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from diffusim.network import LatticeSpec
+from diffusim.network import LatticeSpec, _check_integer
 
 
 class Pattern(enum.Enum):
@@ -27,13 +27,6 @@ def _has_repeat(values: np.ndarray) -> bool:
     """Whether any value occurs twice (a sort is faster than `np.unique`)."""
     ordered = np.sort(values)
     return bool(np.any(ordered[1:] == ordered[:-1]))
-
-
-def _check_gamma(gamma) -> None:
-    """Reject an introduction rate that is not a Python or numpy integer
-    >= 1 (bool is not a rate)."""
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, np.integer)) or gamma < 1:
-        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
 
 
 def last_activation_tick(count: int, gamma: int) -> int:
@@ -55,7 +48,7 @@ class SeedingPlan:
     gamma: int
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        _check_integer("gamma", self.gamma, 1)
         if _has_repeat(self.positions):
             raise ValueError("innovator positions must be distinct")
 
@@ -101,8 +94,7 @@ def place_innovators(
             them).
     """
     n = spec.node_count
-    if not 1 <= count <= n:
-        raise ValueError(f"count must be in [1, {n}], got {count}")
+    _check_integer("count", count, 1, n)
 
     if pattern is Pattern.UNIFORM:
         if rng is None:

@@ -3,8 +3,8 @@
 Runs the full 360-combination grid (degree class x utility difference x
 seeding pattern x rewiring probability x introduction rate), fits each
 trajectory, and aggregates induced (p, q, r-squared, takeoff) records.
-Envelope operations map fitted parameter clouds to convex regions and
-classify points against them.
+An envelope is one family's convex (p, q) hull, an (m, 2) array of
+vertices in counter-clockwise order; points are classified against it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from diffusim.network import (
     LatticeSpec,
     Neighborhood,
     SocialNetwork,
+    _check_integer,
     build_lattice,
     rewire,
 )
 from diffusim.seeding import (
     Pattern,
     SeedingPlan,
-    _check_gamma,
     build_plan,
     default_innovator_count,
     last_activation_tick,
@@ -86,12 +86,11 @@ class SimConfig:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
         if not isinstance(self.sigma, Pattern):
             raise ValueError(f"sigma must be a Pattern, got {self.sigma!r}")
-        _check_gamma(self.gamma)
+        _check_integer("gamma", self.gamma, 1)
         DecisionParams(self.delta_u, self.alpha)  # checks alpha and delta_u
-        if self.replication < 0:
-            raise ValueError("replication must be non-negative")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+        _check_integer("replication", self.replication, 0)
+        _check_integer("seed", self.seed, 0, 2**64 - 1)
+        _check_integer("max_ticks", self.max_ticks, 1)
         count = default_innovator_count(self.lattice, self.innovator_fraction)
         last_tick = last_activation_tick(count, self.gamma)
         if self.max_ticks < last_tick:
@@ -147,14 +146,6 @@ class SweepRecord:
     r_squared: float
     takeoff: float
     saturation_tick: int
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Convex region of fitted (p, q) points for one grid cell family."""
-
-    subset_filter: tuple[int, float, Pattern]
-    hull_vertices: np.ndarray  # (m, 2), counter-clockwise
 
 
 def default_grid(
@@ -254,8 +245,7 @@ def run_sweep(
     """
     if not grid:
         raise ValueError("grid must be non-empty")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    _check_integer("replications", replications, 1)
     tasks = [
         (config, index, master_seed, replications)
         for index, config in enumerate(grid)
@@ -335,10 +325,10 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 def envelope(
     records: Sequence[SweepRecord], subset: tuple[int, float, Pattern]
-) -> Envelope:
-    """Convex hull of fitted (p, q) points for one (k, delta_u, sigma)
-    family of records; records without a finite fit (a run that could not be
-    fitted) are left out."""
+) -> np.ndarray:
+    """Convex hull of the fitted (p, q) points of one (k, delta_u, sigma)
+    family, as `convex_hull` returns it; records without a finite fit (a
+    run that could not be fitted) are left out."""
     k, delta_u, sigma = subset
     pts = [
         (r.p, r.q)
@@ -348,14 +338,14 @@ def envelope(
     ]
     if len(pts) < 3:
         raise TooFewPoints(f"subset {subset} matched only {len(pts)} finite fits")
-    return Envelope(subset_filter=subset, hull_vertices=convex_hull(np.asarray(pts)))
+    return convex_hull(np.asarray(pts))
 
 
 BOUNDARY_TOL = 1e-12
 
 
-def locate(point: tuple[float, float], env: Envelope) -> Location:
-    """Classify a (p, q) point against a hull.
+def locate(point: tuple[float, float], hull: np.ndarray) -> Location:
+    """Classify a (p, q) point against a counter-clockwise hull array.
 
     The tolerance 1e-12 applies to the edge cross products, so it scales
     with edge length; generating points always classify as Inside or
@@ -363,7 +353,6 @@ def locate(point: tuple[float, float], env: Envelope) -> Location:
     """
     if not (math.isfinite(point[0]) and math.isfinite(point[1])):
         raise ValueError(f"point must be finite, got {tuple(point)}")
-    hull = env.hull_vertices
     crosses = [
         _cross(hull[i], hull[(i + 1) % len(hull)], point) for i in range(len(hull))
     ]
@@ -504,12 +493,12 @@ def _recorded_parameters(path) -> tuple[int, int, float, int]:
         ) from exc
 
 
-def write_envelope_csv(env: Envelope, path) -> None:
+def write_envelope_csv(hull: np.ndarray, path) -> None:
     """Export hull vertices as `p,q` rows in counter-clockwise order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "q"])
-        for p, q in env.hull_vertices:
+        for p, q in hull:
             writer.writerow([repr(float(p)), repr(float(q))])
 
 

@@ -449,8 +449,7 @@ def test_reference_envelope_geometry(reference_grid):
     ]
     assert len(records) == 30
 
-    env = envelope(records, (8, 0.6, Pattern.COMPACT))
-    hull = env.hull_vertices
+    hull = envelope(records, (8, 0.6, Pattern.COMPACT))
     p_lo, p_hi = float(hull[:, 0].min()), float(hull[:, 0].max())
     q_lo, q_hi = float(hull[:, 1].min()), float(hull[:, 1].max())
     print(
@@ -463,7 +462,7 @@ def test_reference_envelope_geometry(reference_grid):
     assert abs(q_hi - 0.730) < 3e-3
 
     for record in records:
-        where = locate((record.p, record.q), env)
+        where = locate((record.p, record.q), hull)
         assert where.value in ("inside", "boundary"), (record.p, record.q)
 
 

@@ -17,6 +17,7 @@ from diffusim.engine import (
     _thresholds_by_node,
     adoption_threshold,
     delta_utility,
+    read_trajectory_csv,
     simulate,
     write_trajectory_csv,
 )
@@ -648,3 +649,32 @@ class TestTrajectoryExport:
         assert rows[1] == ["0", "0", "0.0"]
         assert rows[2] == ["1", "1", "0.25"]
         assert rows[3] == ["2", "4", "1.0"]
+
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        traj = SimConfig(
+            lattice=LatticeSpec(30, 30, Neighborhood.MOORE), delta_u=0.6,
+            sigma=Pattern.UNIFORM, p_r=0.01, gamma=10, max_ticks=300, seed=3,
+        ).simulate()
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_trajectory_csv(traj, first)
+        loaded = read_trajectory_csv(first)
+        assert loaded.population == 900
+        assert np.array_equal(loaded.adopter_counts, traj.adopter_counts)
+        write_trajectory_csv(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("rows", [
+        "0,0,0.0\n1,2,0.25\n2,4,1.0\n",
+        # adopters / proportion overflows a float
+        "0,0,0.0\n1,1,5e-324\n",
+    ])
+    def test_adopters_that_disagree_with_proportions_are_rejected(self, tmp_path, rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("tick,adopters,proportion\n" + rows)
+        with pytest.raises(ValueError, match="adopters disagree"):
+            read_trajectory_csv(path)
+
+    def test_proportions_alone_give_population_one(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("tick,proportion\n0,0.0\n1,0.25\n2,1.0\n")
+        assert read_trajectory_csv(path).population == 1

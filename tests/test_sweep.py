@@ -17,7 +17,6 @@ from diffusim.sweep import (
     GAMMA_LEVELS,
     NOT_SATURATED,
     SWEEP_CSV_HEADER,
-    Envelope,
     Location,
     SimConfig,
     SweepRecord,
@@ -281,9 +280,8 @@ class TestConvexHull:
             hull = convex_hull(pts)
         except TooFewPoints:
             return
-        env = Envelope(subset_filter=(8, 0.6, Pattern.UNIFORM), hull_vertices=hull)
         for point in pts:
-            assert locate((point[0], point[1]), env) is not Location.OUTSIDE
+            assert locate((point[0], point[1]), hull) is not Location.OUTSIDE
         hull_set = {tuple(v) for v in hull.tolist()}
         assert hull_set <= {tuple(p) for p in pts.tolist()}
 
@@ -291,8 +289,8 @@ class TestConvexHull:
 class TestEnvelope:
     def test_reference_compact_cell_span(self, reference_grid):
         records = [record_from_reference(row) for row in reference_grid]
-        env = envelope(records, (8, 0.6, Pattern.COMPACT))
-        ps, qs = env.hull_vertices[:, 0], env.hull_vertices[:, 1]
+        hull = envelope(records, (8, 0.6, Pattern.COMPACT))
+        ps, qs = hull[:, 0], hull[:, 1]
         assert ps.min() == pytest.approx(0.00079, abs=1e-5)
         assert ps.max() == pytest.approx(0.0325, abs=2e-4)
         assert qs.min() == pytest.approx(0.319, abs=1e-3)
@@ -303,7 +301,7 @@ class TestEnvelope:
         ]
         assert len(generators) == 30
         for row in generators:
-            assert locate((row.p, row.q), env) is not Location.OUTSIDE
+            assert locate((row.p, row.q), hull) is not Location.OUTSIDE
 
     def test_leaves_out_unfitted_records(self):
         # a run that could not be fitted keeps a NaN (p, q) row in the sweep
@@ -312,9 +310,9 @@ class TestEnvelope:
             SweepRecord(small_config(), p, q, 0.99, 5.0, 20) for p, q in corners
         ] + [SweepRecord(small_config(), math.nan, math.nan, math.nan, math.nan,
                          NOT_SATURATED)]
-        env = envelope(records, (8, 0.6, Pattern.UNIFORM))
-        assert np.isfinite(env.hull_vertices).all()
-        assert sorted(map(tuple, env.hull_vertices.tolist())) == sorted(corners)
+        hull = envelope(records, (8, 0.6, Pattern.UNIFORM))
+        assert np.isfinite(hull).all()
+        assert sorted(map(tuple, hull.tolist())) == sorted(corners)
 
     def test_too_few_finite_fits(self):
         records = [
@@ -335,25 +333,22 @@ class TestEnvelope:
 
 class TestLocate:
     def setup_method(self):
-        self.env = Envelope(
-            subset_filter=(8, 0.6, Pattern.UNIFORM),
-            hull_vertices=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
-        )
+        self.hull = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]])
 
     def test_centroid_inside(self):
-        assert locate((2.0, 1.5), self.env) is Location.INSIDE
+        assert locate((2.0, 1.5), self.hull) is Location.INSIDE
 
     def test_vertex_on_boundary(self):
-        assert locate((4.0, 3.0), self.env) is Location.BOUNDARY
+        assert locate((4.0, 3.0), self.hull) is Location.BOUNDARY
 
     def test_edge_midpoint_on_boundary(self):
-        assert locate((2.0, 0.0), self.env) is Location.BOUNDARY
+        assert locate((2.0, 0.0), self.hull) is Location.BOUNDARY
 
     def test_far_point_outside(self):
-        assert locate((10.0, 10.0), self.env) is Location.OUTSIDE
+        assert locate((10.0, 10.0), self.hull) is Location.OUTSIDE
 
     def test_point_on_edge_line_but_past_polygon(self):
-        assert locate((5.0, 0.0), self.env) is Location.OUTSIDE
+        assert locate((5.0, 0.0), self.hull) is Location.OUTSIDE
 
     @pytest.mark.parametrize(
         "point", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 1.5), (2.0, -math.inf)]
@@ -361,7 +356,7 @@ class TestLocate:
     def test_non_finite_point_is_rejected(self, point):
         # every compare with NaN is false, so a NaN would pass every edge test
         with pytest.raises(ValueError, match="finite"):
-            locate(point, self.env)
+            locate(point, self.hull)
 
 
 class TestRoiCheck:
@@ -472,12 +467,9 @@ class TestCsvRoundTrips:
             read_sweep_csv(path)
 
     def test_envelope_csv(self, tmp_path):
-        env = Envelope(
-            subset_filter=(8, 0.6, Pattern.UNIFORM),
-            hull_vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]),
-        )
+        hull = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
         path = tmp_path / "hull.csv"
-        write_envelope_csv(env, path)
+        write_envelope_csv(hull, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "p,q"
         assert len(lines) == 4
