@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from diffusim.network import _check_real
+
 # Takeoff constant: the third derivative of n(t) vanishes where the
 # exponential term equals (2 +/- sqrt(3)) * p/q; the earlier root uses 2+sqrt(3).
 _TAKEOFF_CONST = 2.0 + math.sqrt(3.0)
@@ -34,6 +36,8 @@ class BassParams:
     q: float
 
     def __post_init__(self) -> None:
+        _check_real("p", self.p)
+        _check_real("q", self.q)
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError(f"non-finite coefficients: p={self.p}, q={self.q}")
         if self.p <= 0:

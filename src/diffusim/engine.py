@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from diffusim.network import SocialNetwork, _check_integer
+from diffusim.network import SocialNetwork, _check_integer, _check_real
 from diffusim.seeding import SeedingPlan
 
 SYNCHRONOUS = "synchronous"
@@ -58,6 +58,8 @@ class DecisionParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_real("alpha", self.alpha)
+        _check_real("delta_u", self.delta_u)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not np.isfinite(self.delta_u):

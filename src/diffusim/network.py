@@ -31,8 +31,9 @@ class Neighborhood(enum.Enum):
         """The neighborhood of interior degree k.
 
         Raises:
-            ValueError: k is neither 4 nor 8.
+            ValueError: k is not an integer, or is neither 4 nor 8.
         """
+        _check_integer("k", k, 0)
         for neighborhood in cls:
             if neighborhood.k == k:
                 return neighborhood
@@ -46,6 +47,14 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
             or value < low or (high is not None and value > high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a Python or numpy integer or float; a bool
+    is not a number. Each field checks its own range after this."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     Returns:
         A new immutable network with rewire_prob = p_r.
     """
+    _check_real("p_r", p_r)
     if not 0.0 <= p_r <= 1.0:
         raise ValueError(f"p_r must be in [0, 1], got {p_r}")
     if net.rewire_prob != 0.0:

@@ -3,6 +3,12 @@
 Innovators (the exogenously adopting 2.5% of the population by default) are
 placed on the lattice in one of three spatial dispersion patterns, then
 activated in blocks of gamma per tick, in randomly permuted order.
+
+Compact and intermediate placement are deterministic, and a sweep places
+the same few clusters in every run, so each cluster's cells are cached per
+(lattice, center, size): a few thousand int32 cells in all, sorted from the
+smallest square around the center that holds them, never from the whole
+lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from diffusim.network import LatticeSpec, _check_integer
+from diffusim.network import LatticeSpec, _check_integer, _check_real
 
 
 class Pattern(enum.Enum):
@@ -24,7 +30,7 @@ class Pattern(enum.Enum):
 
 
 def _has_repeat(values: np.ndarray) -> bool:
-    """Whether any value occurs twice (a sort is faster than `np.unique`)."""
+    """Whether any value occurs twice (a sort is cheaper than counting uniques)."""
     ordered = np.sort(values)
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
@@ -62,15 +68,35 @@ class SeedingPlan:
         return self.positions[(tick - 1) * self.gamma : tick * self.gamma]
 
 
+def _span(center: int, radius: int, size: int) -> int:
+    """Cells of [center - radius, center + radius] that lie in [0, size)."""
+    return min(center + radius, size - 1) - max(center - radius, 0) + 1
+
+
 @lru_cache(maxsize=32)
-def _cells_by_distance(rows: int, cols: int, center_r: int, center_c: int) -> np.ndarray:
-    """All cell indices sorted by (Chebyshev distance to center, row-major)."""
-    r = np.arange(rows, dtype=np.int64)[:, None]
-    c = np.arange(cols, dtype=np.int64)[None, :]
+def _nearest_cells(
+    spec: LatticeSpec, center_r: int, center_c: int, count: int
+) -> np.ndarray:
+    """The `count` cells nearest (center_r, center_c) by Chebyshev distance,
+    ties row-major, nearest first (int32, read-only).
+
+    Only the smallest square around the center, clipped to the lattice,
+    that holds `count` cells is sorted: those are exactly the cells within
+    its radius, so the nearest `count` lie inside it.
+    """
+    rows, cols = spec.rows, spec.cols
+    radius = 0
+    while _span(center_r, radius, rows) * _span(center_c, radius, cols) < count:
+        radius += 1
+    r = np.arange(max(center_r - radius, 0), min(center_r + radius + 1, rows),
+                  dtype=np.int32)[:, None]
+    c = np.arange(max(center_c - radius, 0), min(center_c + radius + 1, cols),
+                  dtype=np.int32)[None, :]
     dist = np.maximum(np.abs(r - center_r), np.abs(c - center_c)).ravel()
-    order = np.lexsort((np.arange(rows * cols), dist)).astype(np.int32)
-    order.setflags(write=False)
-    return order
+    square = (r * cols + c).ravel()  # row-major, as the ties are broken
+    cells = square[np.argsort(dist, kind="stable")[:count]].astype(np.int32, copy=False)
+    cells.setflags(write=False)
+    return cells
 
 
 def place_innovators(
@@ -111,8 +137,7 @@ def place_innovators(
     elif pattern is not Pattern.COMPACT:
         raise ValueError(f"unknown pattern: {pattern!r}")
     cells = np.concatenate([
-        _cells_by_distance(rows, cols, cr, cc)[:size]
-        for (cr, cc), size in zip(centers, sizes)
+        _nearest_cells(spec, cr, cc, size) for (cr, cc), size in zip(centers, sizes)
     ])
     if _has_repeat(cells):
         raise ValueError(
@@ -148,6 +173,7 @@ def build_plan(
 
 def default_innovator_count(spec: LatticeSpec, fraction: float = 0.025) -> int:
     """Round the innovator quota (default 2.5% of the population)."""
+    _check_real("innovator_fraction", fraction)
     if not 0 < fraction <= 1:
         raise ValueError(f"innovator_fraction must be in (0, 1], got {fraction}")
     return max(1, math.floor(spec.node_count * fraction + 0.5))

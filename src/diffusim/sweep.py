@@ -28,6 +28,7 @@ from diffusim.network import (
     Neighborhood,
     SocialNetwork,
     _check_integer,
+    _check_real,
     build_lattice,
     rewire,
 )
@@ -82,6 +83,7 @@ class SimConfig:
     replication: int = 0
 
     def __post_init__(self) -> None:
+        _check_real("p_r", self.p_r)
         if not 0.0 <= self.p_r <= 1.0:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
         if not isinstance(self.sigma, Pattern):
@@ -246,6 +248,7 @@ def run_sweep(
     if not grid:
         raise ValueError("grid must be non-empty")
     _check_integer("replications", replications, 1)
+    _check_integer("master_seed", master_seed, 0, 2**64 - 1)
     tasks = [
         (config, index, master_seed, replications)
         for index, config in enumerate(grid)
@@ -300,10 +303,15 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         TooFewPoints: fewer than 3 distinct points, or all collinear.
         ValueError: a coordinate is not finite.
     """
-    pts = np.asarray(points, dtype=float)
+    # an empty list is no points; any other shape but (n, 2) fails here
+    pts = np.asarray(points, dtype=float).reshape(len(points), 2)
     if not np.isfinite(pts).all():
         raise ValueError("hull points must be finite")
-    pts = np.unique(pts, axis=0)  # lex-sorted
+    # lex-sorted distinct rows; no unique(axis=0), which imports numpy.ma
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[distinct]
     if len(pts) < 3:
         raise TooFewPoints(f"need >= 3 distinct points, got {len(pts)}")
     lower: list[np.ndarray] = []

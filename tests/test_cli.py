@@ -742,20 +742,23 @@ config, out = sys.argv[1:]
 assert cli.main(["sweep", config, "--out", out]) == 0
 after_sweep = modules("scipy")
 pool_after_sweep = modules("concurrent.futures")
+ma_after_sweep = "numpy.ma" in sys.modules
 stats = network_stats(build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE)), 25)
 print(json.dumps({"after_sweep": after_sweep,
                   "pool_after_sweep": pool_after_sweep,
+                  "ma_after_sweep": ma_after_sweep,
                   "after_netstats": modules("scipy"),
                   "mean_degree": stats.mean_degree}))
 """
 
 
 def test_sweep_loads_no_scipy_until_network_stats(tmp_path):
-    # a fresh interpreter, so that no other test has imported scipy already
+    # a fresh interpreter, so that no other test has imported scipy already;
+    # four compact runs, one of them rewired, give one envelope
     config = write_json(tmp_path / "grid.json", {
-        "rows": 10, "cols": 10, "k_levels": [8], "delta_u_levels": [0.8],
-        "sigma_levels": ["uniform"], "p_r_levels": [0.04], "gamma_levels": [1],
-        "max_ticks": 100,
+        "rows": 20, "cols": 20, "k_levels": [4], "delta_u_levels": [0.6],
+        "sigma_levels": ["compact"], "p_r_levels": [0.0, 0.04],
+        "gamma_levels": [1, 5], "max_ticks": 200,
     })
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_LOADS_ONLY_FOR_NETSTATS, config,
@@ -767,6 +770,9 @@ def test_sweep_loads_no_scipy_until_network_stats(tmp_path):
     assert loaded["after_sweep"] == []
     # a --jobs 1 sweep runs in-process and never loads the process pool
     assert loaded["pool_after_sweep"] == []
+    # the hull dedupes its points without loading numpy.ma
+    assert (tmp_path / "out" / "envelope_k4_du0.6_compact.csv").exists()
+    assert loaded["ma_after_sweep"] is False
     assert "scipy.sparse.csgraph" in loaded["after_netstats"]
     assert loaded["mean_degree"] == pytest.approx(2 * 72 / 25)
 

@@ -1,16 +1,23 @@
 """One integer rule for every count a model type or entry point takes:
 a Python or numpy integer within the count's bounds passes; a bool, a
-non-integer or a value out of bounds is a ValueError naming the field."""
+non-integer or a value out of bounds is a ValueError naming the field.
+The real-valued fields share one rule too: a bool or a value that is not a
+Python or numpy number is a ValueError naming the field."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from diffusim.bass import BassParams
 from diffusim.engine import DecisionParams, adoption_threshold, simulate
-from diffusim.network import LatticeSpec, Neighborhood, build_lattice, network_stats
-from diffusim.seeding import Pattern, SeedingPlan, place_innovators
-from diffusim.sweep import SimConfig, run_sweep
+from diffusim.network import (
+    LatticeSpec, Neighborhood, build_lattice, network_stats, rewire,
+)
+from diffusim.seeding import (
+    Pattern, SeedingPlan, default_innovator_count, place_innovators,
+)
+from diffusim.sweep import SimConfig, default_grid, run_sweep
 
 LATTICE = LatticeSpec(5, 5, Neighborhood.MOORE)
 PARAMS = DecisionParams(delta_u=0.6)
@@ -39,6 +46,9 @@ COUNTS = [
     ("network_stats", "sample_size", 1,
      lambda v: network_stats(build_lattice(LATTICE), v)),
     ("run_sweep", "replications", 1, lambda v: run_sweep([sim_config()], replications=v)),
+    ("run_sweep", "master_seed", 0, lambda v: run_sweep([sim_config()], master_seed=v)),
+    ("Neighborhood.for_k", "k", 0, Neighborhood.for_k),
+    ("default_grid", "k", 0, lambda v: default_grid(rows=5, cols=5, k_levels=[v])),
 ]
 
 
@@ -57,3 +67,45 @@ def test_numpy_integers_are_counts():
                         replication=np.int64(0), max_ticks=np.int16(10))
     assert config.seed == 2**64 - 1
     assert len(place_innovators(lattice, Pattern.COMPACT, np.int64(25))) == 25
+
+
+@pytest.mark.parametrize("value", [2**64, 2**70])
+def test_master_seed_above_its_bound_is_rejected_before_any_run(monkeypatch, value):
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("diffusim.sweep.run_once", no_run)
+    with pytest.raises(ValueError, match="^master_seed must be an integer"):
+        run_sweep([sim_config()], master_seed=value)
+
+
+# (owner, field, call that takes the value for the field)
+REALS = [
+    ("SimConfig", "p_r", lambda v: sim_config(p_r=v)),
+    ("rewire", "p_r", lambda v: rewire(build_lattice(LATTICE), v, np.random.default_rng(0))),
+    ("SimConfig", "innovator_fraction", lambda v: sim_config(innovator_fraction=v)),
+    ("SimConfig", "delta_u", lambda v: sim_config(delta_u=v)),
+    ("SimConfig", "alpha", lambda v: sim_config(alpha=v)),
+    ("default_innovator_count", "innovator_fraction",
+     lambda v: default_innovator_count(LATTICE, v)),
+    ("DecisionParams", "delta_u", lambda v: DecisionParams(delta_u=v)),
+    ("DecisionParams", "alpha", lambda v: DecisionParams(delta_u=0.6, alpha=v)),
+    ("BassParams", "p", lambda v: BassParams(v, 0.5)),
+    ("BassParams", "q", lambda v: BassParams(0.01, v)),
+]
+
+
+@pytest.mark.parametrize("field, call", [r[1:] for r in REALS],
+                         ids=[f"{owner}.{field}" for owner, field, _ in REALS])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j],
+                         ids=["True", "False", "numpy-True", "str", "None", "complex"])
+def test_real_field_rejects_bools_and_non_numbers(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        call(value)
+
+
+def test_numpy_numbers_are_real():
+    config = sim_config(p_r=np.float32(0.25), innovator_fraction=np.float64(0.1),
+                        delta_u=np.int64(1), alpha=np.float16(0.5))
+    assert config.p_r == 0.25
+    assert BassParams(np.float64(0.01), np.int32(0)).q == 0

@@ -89,6 +89,48 @@ def test_intermediate_overlap_rejected_on_crowded_lattice():
         place_innovators(LatticeSpec(10, 10, Neighborhood.MOORE), Pattern.INTERMEDIATE, 50)
 
 
+def lexsort_placement_reference(spec: LatticeSpec, pattern: Pattern, count: int):
+    """Clustered placement from a lexsort of every lattice cell by
+    (Chebyshev distance, index) around each center; None where clusters
+    overlap."""
+    rows, cols = spec.rows, spec.cols
+    r, c = np.divmod(np.arange(spec.node_count), cols)
+    centers, sizes = [(rows // 2, cols // 2)], [count]
+    if pattern is Pattern.INTERMEDIATE:
+        centers += [(a * rows // 4, b * cols // 4) for a in (1, 3) for b in (1, 3)]
+        sizes = [count // 5 + count % 5] + [count // 5] * 4
+    cells = np.concatenate([
+        np.lexsort((np.arange(spec.node_count),
+                    np.maximum(np.abs(r - cr), np.abs(c - cc))))[:size]
+        for (cr, cc), size in zip(centers, sizes)
+    ])
+    return None if len(np.unique(cells)) < len(cells) else cells
+
+
+@st.composite
+def clustered_placements(draw):
+    rows, cols = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    count = draw(st.integers(1, rows * cols))
+    pattern = draw(st.sampled_from([Pattern.COMPACT, Pattern.INTERMEDIATE]))
+    return LatticeSpec(rows, cols, Neighborhood.MOORE), pattern, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_placements())
+@example((SPEC_200, Pattern.COMPACT, 1000))
+@example((SPEC_200, Pattern.INTERMEDIATE, 1000))
+def test_clustered_placement_matches_full_lattice_lexsort(case):
+    spec, pattern, count = case
+    expected = lexsort_placement_reference(spec, pattern, count)
+    if expected is None:
+        with pytest.raises(ValueError, match="overlap"):
+            place_innovators(spec, pattern, count)
+        return
+    pos = place_innovators(spec, pattern, count)
+    assert pos.dtype == np.int32
+    assert pos.tolist() == expected.tolist()
+
+
 # --- uniform --------------------------------------------------------------------
 
 def test_uniform_distinct_in_range():

@@ -266,6 +266,36 @@ class TestConvexHull:
         with pytest.raises(ValueError, match="finite"):
             convex_hull(pts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=12,
+        ),
+        st.lists(st.integers(0, 11), max_size=12),
+    )
+    def test_repeated_rows_give_the_hull_of_the_distinct_rows(self, raw_points, repeats):
+        # a coarse integer grid, so repeats, collinear sets and sets of
+        # fewer than 3 distinct points are all common
+        pts = np.asarray(raw_points, dtype=float)
+        pts = np.concatenate([pts, pts[[i % len(pts) for i in repeats]]])
+        distinct = np.unique(pts, axis=0)
+        try:
+            expected = convex_hull(distinct)
+        except TooFewPoints:
+            with pytest.raises(TooFewPoints):
+                convex_hull(pts)
+            return
+        assert np.array_equal(convex_hull(pts), expected)
+        assert np.array_equal(convex_hull(pts[::-1]), expected)
+
+    @pytest.mark.parametrize("pts, message", [
+        ([[1, 1], [0, 0], [1, 1], [0, 0], [0, 0]], "need >= 3 distinct points, got 2"),
+        ([[0, 0], [2, 2], [1, 1], [2, 2], [0, 0], [1, 1]], "collinear"),
+    ], ids=["two-distinct", "collinear"])
+    def test_repeated_rows_still_too_few(self, pts, message):
+        with pytest.raises(TooFewPoints, match=message):
+            convex_hull(np.array(pts, dtype=float))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(
