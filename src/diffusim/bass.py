@@ -50,11 +50,11 @@ def _curve(p: float, q: float, t: np.ndarray):
     """Closed-form curve n(t) = p(1-E)/(p+qE), E = exp(-(p+q)t), unchecked;
     returns (n, (-(p+q)t, E, 1-E, p+qE)), the terms n was formed from, which
     the fit's Jacobian reuses. bass_curve and the fit both evaluate it here."""
-    nst = -(p + q) * t
+    nst = t * -(p + q)
     e = np.exp(nst)
     one_minus_e = 1.0 - e
-    denom = p + q * e
-    return p * one_minus_e / denom, (nst, e, one_minus_e, denom)
+    denom = e * q + p
+    return one_minus_e * p / denom, (nst, e, one_minus_e, denom)
 
 
 def bass_curve(params: BassParams, t):

@@ -56,10 +56,10 @@ class FitResult:
         return json.dumps({**fields.pop("params"), **fields}, indent=2)
 
 
-def _jacobian(p: float, q: float, terms, out: np.ndarray):
-    """Write (dn/dp, dn/dq) of the curve into out's two rows, from the
-    `terms` (nst = -(p+q)t, E, 1-E, D = p+qE) that `_curve` formed at the
-    same (p, q): with w = E/D^2,
+def _jacobian(p: float, q: float, terms, out):
+    """Write (dn/dp, dn/dq) of the curve into out's two rows (an array, or
+    a pair of row views), from the `terms` (nst = -(p+q)t, E, 1-E,
+    D = p+qE) that `_curve` formed at the same (p, q): with w = E/D^2,
     dn/dp = w (q(1-E) - p nst) and dn/dq = (-p w)(nst + (1-E)).
 
     These are the expressions w (q(1-E) + p s t) and p w (s t - (1-E)),
@@ -70,8 +70,8 @@ def _jacobian(p: float, q: float, terms, out: np.ndarray):
     nst, e, one_minus_e, denom = terms
     dn_dp, dn_dq = out
     w = e / denom**2
-    np.multiply(w, q * one_minus_e - p * nst, out=dn_dp)
-    np.multiply((-p) * w, nst + one_minus_e, out=dn_dq)
+    np.multiply(w, one_minus_e * q - nst * p, out=dn_dp)
+    np.multiply(w * -p, nst + one_minus_e, out=dn_dq)
     return out
 
 
@@ -118,33 +118,38 @@ def fit_bass(traj: AdoptionTrajectory) -> FitResult:
 
     t = np.arange(len(y), dtype=float)
     p, q = _clip(max(float(y[1]), 1e-3), 0.5)
-
-    def trial(pv: float, qv: float):
-        n, terms = _curve(pv, qv, t)
-        resid = y - n
-        return resid, terms, float(resid @ resid)
-
-    resid, terms, current = trial(p, q)
+    n, terms = _curve(p, q, t)
+    resid = y - n
+    current = float(resid.dot(resid))
+    # the loop runs mostly on 4-15-point windows, where each numpy call
+    # costs more than its arithmetic: the Jacobian's rows and transpose are
+    # taken once, and the trial point and its clip are written inline
     j = np.empty((2, len(y)))
+    jt, rows = j.T, tuple(j)
     lam = 1e-3
     converged = False
     iteration = 0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        _jacobian(p, q, terms, j)
-        (a, b), (_, c) = (j @ j.T).tolist()
-        g0, g1 = (j @ resid).tolist()
+        _jacobian(p, q, terms, rows)
+        (a, b), (_, c) = j.dot(jt).tolist()
+        g0, g1 = j.dot(resid).tolist()
+        floor_a, floor_c = max(a, 1e-14), max(c, 1e-14)
         # raise the damping until a step does not increase the SSE
         while lam <= MAX_DAMPING:
-            d0 = a + lam * max(a, 1e-14)
-            d1 = c + lam * max(c, 1e-14)
+            d0 = a + lam * floor_a
+            d1 = c + lam * floor_c
             det = d0 * d1 - b * b
             if not det > 0.0:  # singular, or NaN
                 lam *= 10.0
                 continue
-            cand_p, cand_q = _clip(
-                p + (d1 * g0 - b * g1) / det, q + (d0 * g1 - b * g0) / det
-            )
-            cand_resid, cand_terms, cand_sse = trial(cand_p, cand_q)
+            # the step, clipped to the box as _clip does
+            cand_p = p + (d1 * g0 - b * g1) / det
+            cand_p = P_MIN if P_MIN > cand_p else P_MAX if P_MAX < cand_p else cand_p
+            cand_q = q + (d0 * g1 - b * g0) / det
+            cand_q = Q_MIN if Q_MIN > cand_q else Q_MAX if Q_MAX < cand_q else cand_q
+            n, cand_terms = _curve(cand_p, cand_q, t)
+            cand_resid = y - n
+            cand_sse = float(cand_resid.dot(cand_resid))
             if cand_sse <= current:
                 break
             lam *= 10.0

@@ -259,8 +259,10 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     built by sorting every edge again: only the rows of the moved edges'
     endpoints (u, v, w) change, and they are rebuilt apart, then written
     into a copy of the lattice's table sized to the new largest degree.
-    The lattice's sorted edge keys, which the draws check against, are
-    computed once and cached with it; the lattice is never written.
+    The lattice's sorted edge keys give the selected edges' endpoints, and
+    the few draws that land on a lattice pair look up their edge in them;
+    they are computed once and cached with the lattice, which is never
+    written.
 
     Args:
         net: a pure lattice (rewire_prob == 0); rewiring is applied once.
@@ -281,7 +283,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     if p_r > 0.0:
         selected = np.flatnonzero(rng.random(len(keys)) < p_r)
     u, v = keys[selected] >> 32, keys[selected] & _LOW_WORD
-    w = _draw_targets(keys, u, selected, n, rng)
+    w = _draw_targets(keys, u, selected, net.base_spec, rng)
 
     table = net.neighbor_table
     degrees = net.degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
@@ -322,50 +324,70 @@ _DRAW_CHUNK = 2048
 
 
 def _draw_targets(
-    keys: np.ndarray, kept: np.ndarray, selected: np.ndarray, n: int,
+    keys: np.ndarray, kept: np.ndarray, selected: np.ndarray, spec: LatticeSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """New far endpoint of each selected edge, drawn as `rewire` documents.
 
     `keys` are the lattice's sorted canonical edge keys, `selected` the
-    positions of the selected edges in them and `kept` their smaller
-    endpoints. Equivalent to the scalar loop (draw, reject, redraw, one
-    edge at a time) but checks a chunk of draws at once: every draw before
-    the chunk's first rejection is accepted, the rejected value is dropped,
-    and checking resumes at the next value for the same edge.
+    positions of the selected edges in them (ascending, so the i-th is the
+    edge of turn i) and `kept` their smaller endpoints. Equivalent to the
+    scalar loop (draw, reject, redraw, one edge at a time) but checks a
+    chunk of draws at once: every draw before the chunk's first rejection
+    is accepted, the rejected value is dropped, and checking resumes at the
+    next value for the same edge.
+
+    A draw w at turn i, for an edge kept at u, is rejected when (u, w) is
+    - a lattice pair still present. Nodes are row * cols + col on a lattice
+      that is not periodic, so (u, w) is a lattice pair when their row gap
+      and col gap are both at most 1 (Moore), or sum to at most 1 (von
+      Neumann). w == u passes this test too, and is always rejected. Only
+      for the few other lattice pairs is the edge's position in `keys`
+      looked up, then its turn in `selected`: the edge is absent when that
+      turn is at or before i. At i itself the edge draws its own far
+      endpoint back, which is accepted.
+    - a new edge that an earlier turn accepted, or
+    - the pair of an earlier draw in the same chunk.
     """
     m = len(selected)
-    # the turn at which each lattice edge is removed; m (after every turn)
-    # for edges never selected
-    removed_at = np.full(len(keys), m)
-    removed_at[selected] = np.arange(m)
+    cols = spec.cols
+    moore = spec.neighborhood is Neighborhood.MOORE
     targets = np.empty(m, dtype=np.int64)
-    added = np.empty(0, dtype=np.int64)  # sorted keys of the accepted new edges
+    # sorted keys of the accepted new edges, then a sentinel above every
+    # key, so that a search never lands past the end
+    added = np.array([np.iinfo(np.int64).max])
     turn = 0
     while turn < m:
-        draws = rng.integers(n, size=m - turn)
+        draws = rng.integers(spec.node_count, size=m - turn)
         at = 0
         while at < len(draws):
             w = draws[at : at + _DRAW_CHUNK]
             u = kept[turn : turn + len(w)]
             cand = _edge_keys(np.minimum(u, w), np.maximum(u, w))
-            # checked in sorted order, which keeps the searches local
-            order = np.argsort(cand, kind="stable")
-            ranked = cand[order]
-            pos = np.minimum(np.searchsorted(keys, ranked), len(keys) - 1)
-            # a lattice edge is present until its own turn
-            present = (keys[pos] == ranked) & (removed_at[pos] > turn + order)
-            if len(added):
-                pos = np.minimum(np.searchsorted(added, ranked), len(added) - 1)
-                present |= added[pos] == ranked
-            # a repeat of an earlier candidate in this chunk
+            accepted = len(w)
+            # a lattice pair is at most cols + 1 apart by index
+            near = np.flatnonzero(np.abs(w - u) <= cols + 1)
+            if len(near):
+                gap_r = np.abs(u[near] // cols - w[near] // cols)
+                gap_c = np.abs(u[near] % cols - w[near] % cols)
+                near = near[(gap_r <= 1) & (gap_c <= 1) if moore else gap_r + gap_c <= 1]
+                edge = np.searchsorted(keys, cand[near])
+                gone = np.searchsorted(selected, edge)
+                absent = ((w[near] != u[near]) & (gone <= turn + near)
+                          & (selected[np.minimum(gone, m - 1)] == edge))
+                if not absent.all():  # stop at the first lattice pair present
+                    accepted = int(near[np.argmin(absent)])
+            ranked = np.sort(cand[:accepted])
+            present = added[np.searchsorted(added, ranked)] == ranked
             present[1:] |= ranked[1:] == ranked[:-1]
-            rejected = w == u
-            rejected[order] |= present
-            accepted = int(np.argmax(rejected)) if rejected.any() else len(w)
+            if present.any():
+                # rare: the first present draw, in draw order
+                order = np.argsort(cand[:accepted], kind="stable")
+                accepted = int(order[present].min())
+                ranked = np.sort(cand[:accepted])
             targets[turn : turn + accepted] = w[:accepted]
-            new = np.sort(cand[:accepted])
-            added = np.insert(added, np.searchsorted(added, new), new)
+            # two sorted runs, which a stable sort merges in one pass
+            added = np.sort(np.concatenate((added, ranked)), kind="stable")
             turn += accepted
             at += accepted + (accepted < len(w))
     return targets

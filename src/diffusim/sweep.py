@@ -401,11 +401,14 @@ def roi_check(
     pass.
 
     Raises:
-        ValueError: t_star, profit_per_adopter, investment or roi_min not
-            finite, or t_star at or before either strategy's takeoff time.
+        ValueError: population not an integer >= 1; t_star,
+            profit_per_adopter, investment or roi_min not a finite real
+            number; or t_star at or before either strategy's takeoff time.
     """
+    _check_integer("population", population, 1)
     for name, value in (("t_star", t_star), ("profit_per_adopter", profit_per_adopter),
                         ("investment", investment), ("roi_min", roi_min)):
+        _check_real(name, value)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     t_base = takeoff_time(base)

@@ -293,6 +293,10 @@ def test_jacobian_from_curve_terms_equals_frozen_expression(p, q, ticks):
 @example(0.015, 0.4, 3000, 80, 1)  # interior optimum
 @example(0.01, 1.3, 2000, 30, 2)  # converges with q on its bound
 @example(0.01, 1.1, 2000, 30, 0)  # stops at the iteration cap
+# the windows of the workloads' long fits are 4-15 points: crawls along q = 1
+@example(0.005, 1.1, 1000, 4, 2)  # stops at the cap on the shortest window
+@example(0.01, 1.1, 2000, 6, 0)  # stops at the cap with q on 1.0
+@example(0.01, 1.1, 2000, 9, 0)  # converges on the bound after 216 iterations
 def test_fit_equals_frozen_fit_loop(p, q, population, ticks, seed):
     traj = noisy_bass_trajectory(p, q, population, ticks, seed)
     try:
@@ -311,6 +315,14 @@ def test_frozen_fit_examples_reach_the_bound_and_the_cap():
     capped = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 30, 0))
     assert not capped.converged and capped.q_at_bound
     assert capped.iterations == MAX_ITERATIONS
+    # and the short-window cases reach them with q exactly on 1.0
+    for args in ((0.005, 1.1, 1000, 4, 2), (0.01, 1.1, 2000, 6, 0)):
+        capped = frozen_fit_bass(noisy_bass_trajectory(*args))
+        assert not capped.converged and capped.params.q == Q_MAX
+        assert capped.iterations == MAX_ITERATIONS
+    bound = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 9, 0))
+    assert bound.converged and bound.params.q == Q_MAX
+    assert 100 <= bound.iterations < MAX_ITERATIONS
 
 
 class TestDegenerateAndInvalid:

@@ -426,6 +426,21 @@ class TestRoiCheck:
         assert report.gain_base == pytest.approx(500.0, abs=1e-6)
         assert report.gain_boosted == pytest.approx(550.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("population", v) for v in (-5, 0, 2.5, True, np.True_, "100")]
+        + [(name, v)
+           for name in ("t_star", "profit_per_adopter", "investment", "roi_min")
+           for v in (True, np.True_, "10.0", None)],
+    )
+    def test_rejects_a_count_or_number_outside_its_rule(self, field, value):
+        args = dict(population=self.population, t_star=10.0,
+                    profit_per_adopter=1.0, investment=0.0, roi_min=0.0)
+        args[field] = value
+        base = BassParams(0.02, 0.4)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            roi_check(base, base, **args)
+
     def test_rejects_t_star_before_takeoff(self):
         base = BassParams(0.02, 0.4)
         takeoff = takeoff_time(base)
