@@ -70,8 +70,8 @@ class DecisionParams:
 class AdoptionTrajectory:
     """Cumulative adoption proportion per tick; index 0 is the pre-launch 0.
 
-    saturated_at is the first tick at which every agent has adopted, or None
-    if the run stopped before full adoption.
+    saturated_at is the first tick at which every agent has adopted (the
+    first proportion of 1), or None if the run stopped before full adoption.
     """
 
     proportions: np.ndarray
@@ -86,8 +86,13 @@ class AdoptionTrajectory:
             raise ValueError("trajectory must start at proportion 0")
         if np.any(np.diff(props) < 0):
             raise ValueError("adoption proportions must be non-decreasing")
-        if self.saturated_at is not None and props[-1] != 1.0:
-            raise ValueError("saturated_at set but final proportion is not 1")
+        _check_integer("population", self.population, 1)
+        if self.saturated_at is not None:
+            full = np.flatnonzero(props == 1.0)
+            if not len(full):
+                raise ValueError("saturated_at set but no proportion is 1")
+            first = int(full[0])
+            _check_integer("saturated_at", self.saturated_at, first, first)
 
     @property
     def adopter_counts(self) -> np.ndarray:

@@ -163,28 +163,17 @@ class SocialNetwork:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """(E, 2) array, smaller index first, lexicographically sorted: the
-        table's entries (i, j) with i < j, read row by row."""
-        edges = np.column_stack(self._upper())
-        edges.setflags(write=False)
-        return edges
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """Sorted int64 keys (lo, hi) of the canonical edges. It is computed
-        only by `rewire`, so only a lattice that is rewired holds it."""
-        keys = _edge_keys(*self._upper())
-        keys.setflags(write=False)
-        return keys
-
-    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row i and value j of each table entry with j > i, row by row;
-        the padding (node_count) is above every row index, so it is masked
-        out by value."""
+        """(E, 2) int32 array, smaller index first, lexicographically sorted:
+        the table's entries (i, j) with i < j, read row by row. The padding
+        (node_count) is above every row index, so it is masked out by value.
+        `rewire` reads it, so a lattice that is rewired holds it."""
         table = self.neighbor_table
         rows = np.arange(self.node_count, dtype=np.int32)[:, None]
         at = np.flatnonzero((table > rows) & (table < self.node_count))
-        return (at // table.shape[1]).astype(np.int32), table.ravel()[at]
+        edges = np.column_stack(
+            ((at // table.shape[1]).astype(np.int32), table.ravel()[at]))
+        edges.setflags(write=False)
+        return edges
 
 
 @dataclass(frozen=True)
@@ -259,10 +248,10 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     built by sorting every edge again: only the rows of the moved edges'
     endpoints (u, v, w) change, and they are rebuilt apart, then written
     into a copy of the lattice's table sized to the new largest degree.
-    The lattice's sorted edge keys give the selected edges' endpoints, and
-    the few draws that land on a lattice pair look up their edge in them;
-    they are computed once and cached with the lattice, which is never
-    written.
+    The lattice's canonical `edges` give the selected edges' endpoints; they
+    are computed once and cached with the lattice, which is never written.
+    The few draws that land on a lattice pair look that pair up among the
+    moved edges only, by key (see `_draw_targets`).
 
     Args:
         net: a pure lattice (rewire_prob == 0); rewiring is applied once.
@@ -278,12 +267,12 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     if net.rewire_prob != 0.0:
         raise ValueError("network was already rewired; start from a pure lattice")
     n = net.node_count
-    keys = net._keys
+    edges = net.edges
     selected = np.empty(0, dtype=np.intp)
     if p_r > 0.0:
-        selected = np.flatnonzero(rng.random(len(keys)) < p_r)
-    u, v = keys[selected] >> 32, keys[selected] & _LOW_WORD
-    w = _draw_targets(keys, u, selected, net.base_spec, rng)
+        selected = np.flatnonzero(rng.random(len(edges)) < p_r)
+    u, v = edges[selected, 0], edges[selected, 1]
+    w = _draw_targets(_edge_keys(u, v), u, net.base_spec, rng)
 
     table = net.neighbor_table
     degrees = net.degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
@@ -304,7 +293,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     rank = np.arange(len(to)) - (np.cumsum(added) - added)[to]
     block = np.full((len(rows), old_width + added.max(initial=0)), n, dtype=np.int32)
     block[:, :old_width] = table.take(rows, axis=0)
-    ends, gone = np.concatenate((u, v)), np.concatenate((v, u)).astype(np.int32)
+    ends, gone = np.concatenate((u, v)), np.concatenate((v, u))
     # each removed entry sits once in its lattice row
     col = np.flatnonzero(table.take(ends, axis=0) == gone[:, None]) % old_width
     block[slot[ends], col] = n
@@ -324,15 +313,14 @@ _DRAW_CHUNK = 2048
 
 
 def _draw_targets(
-    keys: np.ndarray, kept: np.ndarray, selected: np.ndarray, spec: LatticeSpec,
-    rng: np.random.Generator,
+    moved: np.ndarray, kept: np.ndarray, spec: LatticeSpec, rng: np.random.Generator,
 ) -> np.ndarray:
     """New far endpoint of each selected edge, drawn as `rewire` documents.
 
-    `keys` are the lattice's sorted canonical edge keys, `selected` the
-    positions of the selected edges in them (ascending, so the i-th is the
-    edge of turn i) and `kept` their smaller endpoints. Equivalent to the
-    scalar loop (draw, reject, redraw, one edge at a time) but checks a
+    `moved` are the selected edges' int64 keys and `kept` their smaller
+    endpoints, both in turn order. Canonical order is key order, so `moved`
+    is ascending and a key's index in it is its edge's turn. Equivalent to
+    the scalar loop (draw, reject, redraw, one edge at a time) but checks a
     chunk of draws at once: every draw before the chunk's first rejection
     is accepted, the rejected value is dropped, and checking resumes at the
     next value for the same edge.
@@ -341,15 +329,15 @@ def _draw_targets(
     - a lattice pair still present. Nodes are row * cols + col on a lattice
       that is not periodic, so (u, w) is a lattice pair when their row gap
       and col gap are both at most 1 (Moore), or sum to at most 1 (von
-      Neumann). w == u passes this test too, and is always rejected. Only
-      for the few other lattice pairs is the edge's position in `keys`
-      looked up, then its turn in `selected`: the edge is absent when that
-      turn is at or before i. At i itself the edge draws its own far
-      endpoint back, which is accepted.
+      Neumann). Only for these few draws is the pair's key looked up in
+      `moved`, with one search: the pair is absent exactly when it is found
+      there at a turn at or before i. At i itself the edge draws its own
+      far endpoint back, which is accepted. w == u passes the gap test too;
+      its key is never in `moved`, so it is always rejected.
     - a new edge that an earlier turn accepted, or
     - the pair of an earlier draw in the same chunk.
     """
-    m = len(selected)
+    m = len(moved)
     cols = spec.cols
     moore = spec.neighborhood is Neighborhood.MOORE
     targets = np.empty(m, dtype=np.int64)
@@ -371,10 +359,9 @@ def _draw_targets(
                 gap_r = np.abs(u[near] // cols - w[near] // cols)
                 gap_c = np.abs(u[near] % cols - w[near] % cols)
                 near = near[(gap_r <= 1) & (gap_c <= 1) if moore else gap_r + gap_c <= 1]
-                edge = np.searchsorted(keys, cand[near])
-                gone = np.searchsorted(selected, edge)
-                absent = ((w[near] != u[near]) & (gone <= turn + near)
-                          & (selected[np.minimum(gone, m - 1)] == edge))
+                key = cand[near]
+                gone = np.searchsorted(moved, key)  # its turn, if it is moved
+                absent = (gone <= turn + near) & (moved[np.minimum(gone, m - 1)] == key)
                 if not absent.all():  # stop at the first lattice pair present
                     accepted = int(near[np.argmin(absent)])
             ranked = np.sort(cand[:accepted])

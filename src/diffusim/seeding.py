@@ -45,17 +45,22 @@ def last_activation_tick(count: int, gamma: int) -> int:
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
 
-    `positions` is in activation order: innovators activate in blocks of
-    `gamma` per tick, the block for tick t = 1, 2, ... being
-    positions[(t-1)*gamma : t*gamma]; the final block may be partial.
+    `positions`, a 1-D integer array, is in activation order: innovators
+    activate in blocks of `gamma` per tick, the block for tick t = 1, 2, ...
+    being positions[(t-1)*gamma : t*gamma]; the final block may be partial.
     """
 
     positions: np.ndarray
     gamma: int
 
     def __post_init__(self) -> None:
+        positions = self.positions
+        if not (isinstance(positions, np.ndarray) and positions.ndim == 1
+                and np.issubdtype(positions.dtype, np.integer)):
+            raise ValueError(
+                f"positions must be a 1-D integer ndarray, got {positions!r}")
         _check_integer("gamma", self.gamma, 1)
-        if _has_repeat(self.positions):
+        if _has_repeat(positions):
             raise ValueError("innovator positions must be distinct")
 
     @property

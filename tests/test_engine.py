@@ -255,6 +255,23 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             AdoptionTrajectory(np.array([0.0, 0.5]), population=10, saturated_at=1)
 
+    @pytest.mark.parametrize("saturated_at", [1, 7, True, 2.0, np.float64(2)],
+                             ids=["early", "past-the-end", "bool", "float", "numpy-float"])
+    def test_saturated_at_is_the_first_full_tick(self, saturated_at):
+        # fit_window cuts the record at saturated_at, so any other value
+        # would fit the wrong window
+        with pytest.raises(ValueError, match="^saturated_at must be an integer"):
+            AdoptionTrajectory(np.array([0.0, 0.25, 1.0]), population=4,
+                               saturated_at=saturated_at)
+
+    def test_saturated_at_before_a_repeated_full_tick(self):
+        traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0, 1.0]), population=4,
+                                  saturated_at=np.int64(2))
+        assert traj.saturated_at == 2
+        with pytest.raises(ValueError, match="^saturated_at"):
+            AdoptionTrajectory(np.array([0.0, 0.25, 1.0, 1.0]), population=4,
+                               saturated_at=3)
+
     def test_adopter_counts_roundtrip(self):
         traj = AdoptionTrajectory(
             np.array([0.0, 0.25, 1.0]), population=8, saturated_at=2

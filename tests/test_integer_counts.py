@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from diffusim.bass import BassParams
-from diffusim.engine import DecisionParams, adoption_threshold, simulate
+from diffusim.engine import (
+    AdoptionTrajectory, DecisionParams, adoption_threshold, simulate,
+)
 from diffusim.network import (
     LatticeSpec, Neighborhood, build_lattice, network_stats, rewire,
 )
@@ -34,6 +36,8 @@ COUNTS = [
     ("LatticeSpec", "rows", 2, lambda v: LatticeSpec(v, 3, Neighborhood.MOORE)),
     ("LatticeSpec", "cols", 2, lambda v: LatticeSpec(3, v, Neighborhood.MOORE)),
     ("SeedingPlan", "gamma", 1, lambda v: SeedingPlan(np.array([0, 1]), v)),
+    ("AdoptionTrajectory", "population", 1,
+     lambda v: AdoptionTrajectory(np.array([0.0, 1.0]), population=v, saturated_at=1)),
     ("SimConfig", "gamma", 1, lambda v: sim_config(gamma=v)),
     ("SimConfig", "replication", 0, lambda v: sim_config(replication=v)),
     ("SimConfig", "seed", 0, lambda v: sim_config(seed=v)),

@@ -199,6 +199,18 @@ def test_plan_invariants_rejected():
     with pytest.raises(ValueError, match="gamma must be an integer"):
         schedule_innovators(np.arange(5), 2.5, np.random.default_rng(0))
     assert SeedingPlan(np.array([1, 2]), np.int64(2)).last_tick == 1
+    assert SeedingPlan(np.array([1, 2], dtype=np.uint16), 1).last_tick == 2
+
+
+@pytest.mark.parametrize("positions", [
+    [1, 2], np.array([1.0, 2.0]), np.array([[1, 2], [3, 4]]),
+    np.array([True, False]), np.array(3),
+], ids=["list", "float", "2-D", "bool", "0-D"])
+def test_plan_positions_must_be_a_1d_integer_array(positions):
+    # simulate indexes its countdown with positions, so each of these would
+    # fail there, far from its cause
+    with pytest.raises(ValueError, match="^positions must be a 1-D integer ndarray"):
+        SeedingPlan(positions, 1)
 
 
 @settings(max_examples=50, deadline=None)
