@@ -53,7 +53,6 @@ from diffusim.sweep import (
     default_grid,
     envelope,
     locate,
-    manifest_path,
     read_empirical_csv,
     read_sweep_csv,
     roi_check,
@@ -89,6 +88,11 @@ def _read(what: str, reader, path):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+
+
+def manifest_path(primary_output) -> Path:
+    """The sibling manifest written next to a command's primary output."""
+    return Path(str(primary_output) + ".manifest.json")
 
 
 def _write_manifest(args, primary_output, parameters: dict,
@@ -135,7 +139,11 @@ def _integer(value, source: str) -> int:
 def _number(value, source: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{source} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{source} must be a number that a float can hold, "
+                          f"got {value}") from None
 
 
 def _sigma(value, source: str) -> Pattern:

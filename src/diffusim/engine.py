@@ -30,6 +30,7 @@ the tick's seeds are joined to its deciders only while seeding lasts.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +63,7 @@ class DecisionParams:
         _check_real("delta_u", self.delta_u)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not np.isfinite(self.delta_u):
+        if not math.isfinite(self.delta_u):
             raise ValueError(f"delta_u must be finite, got {self.delta_u}")
 
 

@@ -50,11 +50,18 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Reject a value that is not a Python or numpy integer or float; a bool
-    is not a number. Each field checks its own range after this."""
-    if isinstance(value, bool) or not isinstance(
+    """Reject a value that is not a Python or numpy integer or float that a
+    float can hold; a bool is not a number. Each field checks its own range
+    after this."""
+    if not isinstance(value, bool) and isinstance(
             value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            float(value)
+            return
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number that a float can hold, "
+                     f"got {value!r}")
 
 
 @dataclass(frozen=True)

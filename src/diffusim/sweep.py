@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,9 +138,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Induced aggregate parameters for one simulated run."""
+    """One simulated run as its `sweep.csv` row: the grid cell, seed and
+    replication, then the induced aggregate parameters. The fields are the
+    CSV's columns in header order."""
 
-    config: SimConfig
+    k: int
+    delta_u: float
+    sigma: Pattern
+    p_r: float
+    gamma: int
+    seed: int
+    replication: int
     p: float
     q: float
     r_squared: float
@@ -190,46 +196,36 @@ def derive_run_seed(master_seed: int, config_index: int, replication: int) -> in
 def run_once(config: SimConfig) -> SweepRecord:
     """Simulate one configuration and fit its trajectory.
 
-    The trajectory comes from config.simulate(). A trajectory that cannot
-    be fitted raises DegenerateTrajectory; a fit that stops without
-    converging does not raise, and the record carries whatever the fitter
-    returned. saturation_tick is -1 when the run never saturated;
-    takeoff is NaN when the fitted q is 0, where no takeoff time exists.
+    The trajectory comes from config.simulate(). A run whose trajectory
+    cannot be fitted keeps its row, with NaN fit columns; any other error
+    is a fault and propagates. A fit that stops without converging
+    carries whatever the fitter returned. saturation_tick is -1 when the
+    run never saturated; takeoff is NaN when the fitted q is 0, where no
+    takeoff time exists.
     """
     traj = config.simulate()
-    fit = fit_bass(traj)
+    try:
+        fit = fit_bass(traj)
+    except DegenerateTrajectory:
+        p = q = r_squared = takeoff = math.nan
+    else:
+        p, q, r_squared = fit.params.p, fit.params.q, fit.r_squared
+        takeoff = takeoff_time(fit.params) if q > 0 else math.nan
     return SweepRecord(
-        config=config,
-        p=fit.params.p,
-        q=fit.params.q,
-        r_squared=fit.r_squared,
-        takeoff=takeoff_time(fit.params) if fit.params.q > 0 else math.nan,
-        saturation_tick=(
-            traj.saturated_at if traj.saturated_at is not None else NOT_SATURATED
-        ),
+        config.k, config.delta_u, config.sigma, config.p_r, config.gamma,
+        config.seed, config.replication, p, q, r_squared, takeoff,
+        traj.saturated_at if traj.saturated_at is not None else NOT_SATURATED,
     )
 
 
 def _run_config_block(args: tuple) -> list[SweepRecord]:
     config, index, master_seed, replications = args
-    records = []
-    for rep in range(replications):
-        seeded = dataclasses.replace(
+    return [
+        run_once(dataclasses.replace(
             config, seed=derive_run_seed(master_seed, index, rep), replication=rep
-        )
-        try:
-            records.append(run_once(seeded))
-        except DegenerateTrajectory:
-            # a run that cannot be fitted keeps its row; NaNs mark the fit
-            # columns as unusable. Any other error is a fault and propagates.
-            records.append(
-                SweepRecord(
-                    config=seeded, p=math.nan, q=math.nan,
-                    r_squared=math.nan, takeoff=math.nan,
-                    saturation_tick=NOT_SATURATED,
-                )
-            )
-    return records
+        ))
+        for rep in range(replications)
+    ]
 
 
 def run_sweep(
@@ -266,8 +262,7 @@ def run_sweep(
 
 def cell_key(record: SweepRecord) -> tuple[int, float, str, float, int]:
     """Grid-cell identity of a record (ignores seed and replication)."""
-    c = record.config
-    return (c.k, c.delta_u, c.sigma.value, c.p_r, c.gamma)
+    return (record.k, record.delta_u, record.sigma.value, record.p_r, record.gamma)
 
 
 def median_by_cell(
@@ -341,7 +336,7 @@ def envelope(
     pts = [
         (r.p, r.q)
         for r in records
-        if r.config.k == k and r.config.delta_u == delta_u and r.config.sigma is sigma
+        if r.k == k and r.delta_u == delta_u and r.sigma is sigma
         and math.isfinite(r.p) and math.isfinite(r.q)
     ]
     if len(pts) < 3:
@@ -434,74 +429,35 @@ def write_sweep_csv(records: Iterable[SweepRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
         for r in records:
-            c = r.config
             writer.writerow([
-                c.k, repr(float(c.delta_u)), c.sigma.value, repr(float(c.p_r)),
-                c.gamma, c.seed, c.replication, repr(float(r.p)), repr(float(r.q)),
+                r.k, repr(float(r.delta_u)), r.sigma.value, repr(float(r.p_r)),
+                r.gamma, r.seed, r.replication, repr(float(r.p)), repr(float(r.q)),
                 repr(float(r.r_squared)), repr(float(r.takeoff)), r.saturation_tick,
             ])
 
 
-def manifest_path(primary_output) -> Path:
-    """The sibling manifest written next to a command's primary output."""
-    return Path(str(primary_output) + ".manifest.json")
-
-
 def read_sweep_csv(path) -> list[SweepRecord]:
-    """Load sweep records.
-
-    The CSV does not hold the lattice size, alpha or max_ticks. They are
-    read from the sibling manifest's `parameters` when that file exists,
-    and are otherwise 200x200 and SimConfig's defaults.
+    """Load sweep records, one per row; the row holds the whole record.
 
     Raises:
-        ValueError: the header is not the pinned one, a row is malformed,
-            or the manifest lacks one of those parameters.
+        ValueError: the header is not the pinned one, or a row is malformed.
     """
-    rows, cols, alpha, max_ticks = _recorded_parameters(path)
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SWEEP_CSV_HEADER:
             raise ValueError(f"unexpected sweep CSV header: {reader.fieldnames}")
         for row in reader:
-            config = SimConfig(
-                lattice=LatticeSpec(rows, cols, Neighborhood.for_k(int(row["k"]))),
-                delta_u=float(row["delta_u"]),
-                sigma=Pattern(row["sigma"]),
-                p_r=float(row["p_r"]),
-                gamma=int(row["gamma"]),
-                alpha=alpha,
-                max_ticks=max_ticks,
-                seed=int(row["seed"]),
-                replication=int(row["replication"]),
-            )
-            records.append(
-                SweepRecord(
-                    config=config,
-                    p=float(row["p"]),
-                    q=float(row["q"]),
-                    r_squared=float(row["r_squared"]),
-                    takeoff=float(row["takeoff"]),
-                    saturation_tick=int(row["saturation_tick"]),
-                )
-            )
+            records.append(SweepRecord(
+                k=int(row["k"]), delta_u=float(row["delta_u"]),
+                sigma=Pattern(row["sigma"]), p_r=float(row["p_r"]),
+                gamma=int(row["gamma"]), seed=int(row["seed"]),
+                replication=int(row["replication"]), p=float(row["p"]),
+                q=float(row["q"]), r_squared=float(row["r_squared"]),
+                takeoff=float(row["takeoff"]),
+                saturation_tick=int(row["saturation_tick"]),
+            ))
     return records
-
-
-def _recorded_parameters(path) -> tuple[int, int, float, int]:
-    manifest = manifest_path(path)
-    if not manifest.exists():
-        return 200, 200, SimConfig.alpha, SimConfig.max_ticks
-    try:
-        parameters = json.loads(manifest.read_text())["parameters"]
-        return (int(parameters["rows"]), int(parameters["cols"]),
-                float(parameters["alpha"]), int(parameters["max_ticks"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"cannot read the lattice size, alpha and max_ticks from "
-            f"{manifest}: {exc!r}"
-        ) from exc
 
 
 def write_envelope_csv(hull: np.ndarray, path) -> None:

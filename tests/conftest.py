@@ -7,12 +7,16 @@ decimal commas included; load_reference_grid normalizes them to floats.
 The checkout's `src` is put first on PYTHONPATH, so the tests that start
 `python -m diffusim.cli` in a child process import the same package as the
 tests themselves without an installed copy.
+
+Each test runs under a time limit, so a hang (a rejection loop that never
+ends, say) fails its test instead of stalling the suite.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import signal
 from typing import NamedTuple
 
 import pytest
@@ -69,3 +73,32 @@ def reference_grid() -> list[ReferenceRow]:
     rows = load_reference_grid()
     assert len(rows) == 360
     return rows
+
+
+TEST_TIME_LIMIT_S = 120  # the slowest test takes about 5 s
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S. Not an Exception, so code under
+    test (hypothesis, which would rerun a failing example to shrink it,
+    among it) lets it through and the test fails at once."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Arm SIGALRM for the test's own run (its function-scoped fixtures and
+    call); where SIGALRM does not exist the test runs without a limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

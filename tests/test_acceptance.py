@@ -33,13 +33,11 @@ from diffusim.engine import (
     adoption_threshold,
     simulate,
 )
-from diffusim.network import LatticeSpec, Neighborhood
 from diffusim.seeding import Pattern
 from diffusim.sweep import (
     GAMMA_LEVELS,
     NOT_SATURATED,
     REWIRE_LEVELS,
-    SimConfig,
     SweepRecord,
     cell_key,
     default_grid,
@@ -180,7 +178,7 @@ def test_adoption_thresholds_match_derivation():
 
 @pytest.fixture(scope="module")
 def saturation_census(full_sweep) -> Census:
-    rep0 = [r for r in full_sweep if r.config.replication == 0]
+    rep0 = [r for r in full_sweep if r.replication == 0]
     failures = []
     adoption_miss = window_miss = quality_miss = 0
     for record in rep0:
@@ -434,13 +432,10 @@ def test_reference_envelope_geometry(reference_grid):
     """Hull of the published (k=8, gap 0.6, compact) family spans the
     documented p and q ranges and classifies all 30 generators as inside
     or boundary."""
-    lattice = LatticeSpec(200, 200, Neighborhood.MOORE)
     records = [
         SweepRecord(
-            config=SimConfig(
-                lattice=lattice, delta_u=0.6, sigma=Pattern.COMPACT,
-                p_r=row.p_r, gamma=row.gamma,
-            ),
+            k=8, delta_u=0.6, sigma=Pattern.COMPACT, p_r=row.p_r,
+            gamma=row.gamma, seed=0, replication=0,
             p=row.p, q=row.q, r_squared=row.r_squared,
             takeoff=row.takeoff, saturation_tick=NOT_SATURATED,
         )

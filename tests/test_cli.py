@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, manifest_path
 from diffusim.engine import read_trajectory_csv
 from diffusim.seeding import Pattern
-from diffusim.sweep import default_grid, manifest_path, read_sweep_csv, run_sweep
+from diffusim.sweep import default_grid, run_sweep
 
 SMALL_GRID = {
     "rows": 40,
@@ -238,7 +238,7 @@ def test_simulate_reproduces_a_sweep_row(tmp_path, capsys):
     })
     out = tmp_path / "traj.csv"
     code, _, _ = run_cli(capsys, "simulate", config,
-                         "--seed", str(row.config.seed), "--out", str(out))
+                         "--seed", str(row.seed), "--out", str(out))
     assert code == EXIT_OK
     traj = read_trajectory_csv(out)
     fit = fit_bass(traj)
@@ -295,6 +295,19 @@ def test_integer_config_key_takes_only_integers(tmp_path, capsys, monkeypatch,
                            "--out", str(tmp_path / "traj.csv"))
     assert code == EXIT_CONFIG
     assert "config key 'rows' must be an integer" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "p_r", 10**400),
+    ("sweep", "p_r_levels", [0.0, 10**400]),
+])
+def test_real_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      command, key, value):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "c.json", {key: value})
+    code, _, err = run_cli(capsys, command, config, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert f"config key '{key}' must be a number that a float can hold" in err
 
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
@@ -372,22 +385,6 @@ def test_sweep_skips_envelope_of_unfitted_runs(tmp_path, capsys, monkeypatch):
     assert not (out / name).exists()
     manifest = json.loads((out / "sweep.csv.manifest.json").read_text())
     assert manifest["parameters"]["envelopes_skipped_too_few_points"] == [name]
-
-
-def test_sweep_csv_reads_back_its_lattice_size(tmp_path, capsys):
-    # the CSV does not hold the lattice size; its manifest does
-    config = write_json(tmp_path / "grid.json", {
-        **SMALL_GRID, "rows": 30, "cols": 30, "p_r_levels": [0.04],
-        "gamma_levels": [20], "alpha": 0.3,
-    })
-    out = tmp_path / "run"
-    code, _, _ = run_cli(capsys, "sweep", config, "--out", str(out))
-    assert code == EXIT_OK
-    records = read_sweep_csv(out / "sweep.csv")
-    assert len(records) == 1
-    assert (records[0].config.lattice.rows, records[0].config.lattice.cols) == (30, 30)
-    assert records[0].config.alpha == 0.3
-    assert records[0].config.max_ticks == SMALL_GRID["max_ticks"]
 
 
 def test_sweep_rejects_uncoverable_max_ticks_before_running(
@@ -529,6 +526,19 @@ def test_envelope_missing_family_is_runtime_failure(sweep_dir, tmp_path,
                            "--out", str(tmp_path / "env.csv"))
     assert code == EXIT_RUNTIME
     assert "envelope" in err
+
+
+def test_envelope_needs_no_run_parameters_in_the_manifest(sweep_dir, tmp_path,
+                                                          capsys):
+    # the sweep CSV's rows hold every field the envelope reads
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_bytes((sweep_dir / "sweep.csv").read_bytes())
+    manifest_path(sweep_csv).write_text('{"parameters": {}}')
+    code, _, err = run_cli(capsys, "envelope", str(sweep_csv),
+                           "--k", "8", "--delta-u", "0.8", "--sigma", "uniform",
+                           "--out", str(tmp_path / "env.csv"))
+    assert code == EXIT_OK, err
+    assert (tmp_path / "env.csv").read_text().startswith("p,q\n")
 
 
 def test_envelope_malformed_sweep_csv(tmp_path, capsys):

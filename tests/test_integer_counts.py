@@ -1,8 +1,9 @@
 """One integer rule for every count a model type or entry point takes:
 a Python or numpy integer within the count's bounds passes; a bool, a
 non-integer or a value out of bounds is a ValueError naming the field.
-The real-valued fields share one rule too: a bool or a value that is not a
-Python or numpy number is a ValueError naming the field."""
+The real-valued fields share one rule too: a bool, a value that is not a
+Python or numpy number, or one that a float cannot hold is a ValueError
+naming the field."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from diffusim.network import (
 from diffusim.seeding import (
     Pattern, SeedingPlan, default_innovator_count, place_innovators,
 )
-from diffusim.sweep import SimConfig, default_grid, run_sweep
+from diffusim.sweep import SimConfig, default_grid, roi_check, run_sweep
 
 LATTICE = LatticeSpec(5, 5, Neighborhood.MOORE)
 PARAMS = DecisionParams(delta_u=0.6)
@@ -96,13 +97,17 @@ REALS = [
     ("DecisionParams", "alpha", lambda v: DecisionParams(delta_u=0.6, alpha=v)),
     ("BassParams", "p", lambda v: BassParams(v, 0.5)),
     ("BassParams", "q", lambda v: BassParams(0.01, v)),
+    ("roi_check", "t_star",
+     lambda v: roi_check(BassParams(0.01, 0.4), BassParams(0.02, 0.4), 100, v,
+                         1.0, 0.0, 0.0)),
 ]
 
 
 @pytest.mark.parametrize("field, call", [r[1:] for r in REALS],
                          ids=[f"{owner}.{field}" for owner, field, _ in REALS])
-@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j],
-                         ids=["True", "False", "numpy-True", "str", "None", "complex"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j, 10**400],
+                         ids=["True", "False", "numpy-True", "str", "None", "complex",
+                              "int-past-float"])
 def test_real_field_rejects_bools_and_non_numbers(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be a real number"):
         call(value)
@@ -113,3 +118,8 @@ def test_numpy_numbers_are_real():
                         delta_u=np.int64(1), alpha=np.float16(0.5))
     assert config.p_r == 0.25
     assert BassParams(np.float64(0.01), np.int32(0)).q == 0
+
+
+def test_integer_a_float_can_hold_is_real():
+    # 10**20 is past int64, but a float holds it
+    assert DecisionParams(delta_u=10**20).delta_u == 10**20

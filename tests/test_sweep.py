@@ -1,6 +1,6 @@
 """Sweep harness, envelope geometry, nearest-record lookup, ROI rule."""
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +27,6 @@ from diffusim.sweep import (
     derive_run_seed,
     envelope,
     locate,
-    manifest_path,
     median_by_cell,
     read_empirical_csv,
     read_sweep_csv,
@@ -50,14 +49,22 @@ def small_config(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def small_record(p, q, r_squared=0.99, takeoff=5.0,
+                 saturation_tick=20) -> SweepRecord:
+    """A record in small_config()'s cell, seed and replication."""
+    return SweepRecord(8, 0.6, Pattern.UNIFORM, 0.01, 10, 99, 0,
+                       p, q, r_squared, takeoff, saturation_tick)
+
+
+UNFITTED = small_record(math.nan, math.nan, math.nan, math.nan, NOT_SATURATED)
+
+
 def record_from_reference(row) -> SweepRecord:
-    config = SimConfig(
-        lattice=LatticeSpec(200, 200, Neighborhood.for_k(row.k)), delta_u=row.delta_u,
-        sigma=Pattern(row.sigma.lower()), p_r=row.p_r, gamma=row.gamma,
-    )
     return SweepRecord(
-        config=config, p=row.p, q=row.q, r_squared=row.r_squared,
-        takeoff=row.takeoff, saturation_tick=NOT_SATURATED,
+        k=row.k, delta_u=row.delta_u, sigma=Pattern(row.sigma.lower()),
+        p_r=row.p_r, gamma=row.gamma, seed=0, replication=0, p=row.p, q=row.q,
+        r_squared=row.r_squared, takeoff=row.takeoff,
+        saturation_tick=NOT_SATURATED,
     )
 
 
@@ -65,7 +72,8 @@ class TestDefaultGrid:
     def test_has_360_combinations(self):
         grid = default_grid()
         assert len(grid) == 360
-        assert len({cell_key(SweepRecord(c, 0, 0, 0, 0, 0)) for c in grid}) == 360
+        cells = {(c.k, c.delta_u, c.sigma.value, c.p_r, c.gamma) for c in grid}
+        assert len(cells) == 360
 
     def test_matches_reference_row_order(self, reference_grid):
         grid = default_grid()
@@ -139,7 +147,7 @@ class TestSeedDerivation:
 class TestRunOnce:
     def test_record_fields(self):
         record = run_once(small_config())
-        assert record.config.seed == 99
+        assert record.seed == 99
         assert record.p > 0
         assert 0 <= record.q <= 1
         assert record.r_squared > 0.9
@@ -157,9 +165,9 @@ class TestRunSweep:
         a = run_sweep(grid, replications=2, master_seed=11)
         b = run_sweep(grid, replications=2, master_seed=11)
         assert a == b
-        assert a[0].config.replication == 0
-        assert a[1].config.replication == 1
-        assert a[0].config.seed != a[1].config.seed
+        assert a[0].replication == 0
+        assert a[1].replication == 1
+        assert a[0].seed != a[1].seed
 
     def test_jobs_do_not_change_records_or_bytes(self, tmp_path):
         grid = [
@@ -188,7 +196,18 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "fit_bass", degenerate)
         (record,) = run_sweep([small_config()])
         assert math.isnan(record.p) and math.isnan(record.q)
-        assert record.saturation_tick == NOT_SATURATED
+        # the run itself happened: its row keeps the tick it saturated at
+        replayed = small_config(seed=record.seed).simulate()
+        assert record.saturation_tick == replayed.saturated_at > 0
+
+    def test_run_saturated_in_one_tick_keeps_its_tick(self):
+        # every agent adopts at tick 1, so the trajectory cannot be fitted
+        config = SimConfig(LatticeSpec(10, 10, Neighborhood.MOORE), delta_u=1.2,
+                           sigma=Pattern.UNIFORM, p_r=0.0, gamma=5)
+        assert config.simulate().saturated_at == 1
+        (record,) = run_sweep([config])
+        assert math.isnan(record.p) and math.isnan(record.q)
+        assert record.saturation_tick == 1
 
     def test_fit_at_q_zero_keeps_a_row_without_takeoff(self, tmp_path):
         # at delta_u = -1 no imitator adopts, so the fit lands on its q = 0
@@ -197,12 +216,9 @@ class TestRunSweep:
         assert record.q == 0.0 and math.isnan(record.takeoff)
         path = tmp_path / "sweep.csv"
         write_sweep_csv([record], path)
-        manifest_path(path).write_text(json.dumps({"parameters": {
-            "rows": 30, "cols": 30, "alpha": 0.5, "max_ticks": 300,
-        }}))
         (loaded,) = read_sweep_csv(path)
-        assert loaded.config == record.config
-        assert (loaded.p, loaded.q) == (record.p, record.q)
+        assert dataclasses.replace(loaded, takeoff=0.0) == dataclasses.replace(
+            record, takeoff=0.0)
         assert math.isnan(loaded.takeoff)
 
     def test_other_errors_propagate(self, monkeypatch):
@@ -217,10 +233,8 @@ class TestRunSweep:
 
 class TestMedianAggregation:
     def test_medians_per_cell(self):
-        config = small_config()
         records = [
-            SweepRecord(config, p, q, 0.99, 5.0, 20)
-            for p, q in [(0.01, 0.3), (0.03, 0.5), (0.02, 0.9)]
+            small_record(p, q) for p, q in [(0.01, 0.3), (0.03, 0.5), (0.02, 0.9)]
         ]
         cells = median_by_cell(records)
         assert len(cells) == 1
@@ -336,27 +350,18 @@ class TestEnvelope:
     def test_leaves_out_unfitted_records(self):
         # a run that could not be fitted keeps a NaN (p, q) row in the sweep
         corners = [(0.01, 0.3), (0.02, 0.3), (0.02, 0.5), (0.01, 0.5)]
-        records = [
-            SweepRecord(small_config(), p, q, 0.99, 5.0, 20) for p, q in corners
-        ] + [SweepRecord(small_config(), math.nan, math.nan, math.nan, math.nan,
-                         NOT_SATURATED)]
+        records = [small_record(p, q) for p, q in corners] + [UNFITTED]
         hull = envelope(records, (8, 0.6, Pattern.UNIFORM))
         assert np.isfinite(hull).all()
         assert sorted(map(tuple, hull.tolist())) == sorted(corners)
 
     def test_too_few_finite_fits(self):
-        records = [
-            SweepRecord(small_config(), 0.01, 0.3, 0.99, 5.0, 20),
-            SweepRecord(small_config(), 0.02, 0.5, 0.99, 5.0, 20),
-        ] + [SweepRecord(small_config(), math.nan, math.nan, math.nan, math.nan,
-                         NOT_SATURATED)] * 2
+        records = [small_record(0.01, 0.3), small_record(0.02, 0.5)] + [UNFITTED] * 2
         with pytest.raises(TooFewPoints, match="matched only 2 finite"):
             envelope(records, (8, 0.6, Pattern.UNIFORM))
 
     def test_filter_too_small(self):
-        records = [
-            SweepRecord(small_config(), 0.01, 0.3, 0.99, 5.0, 20),
-        ]
+        records = [small_record(0.01, 0.3)]
         with pytest.raises(TooFewPoints, match="matched only"):
             envelope(records, (8, 0.6, Pattern.UNIFORM))
 
@@ -490,20 +495,24 @@ class TestCsvRoundTrips:
         records = run_sweep(grid, replications=2, master_seed=1)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(records, path)
-        manifest_path(path).write_text(json.dumps({"parameters": {
-            "rows": 30, "cols": 30, "alpha": 0.5, "max_ticks": 300,
-        }}))
         loaded = read_sweep_csv(path)
         assert loaded == records
         header = path.read_text().splitlines()[0]
         assert header == ",".join(SWEEP_CSV_HEADER)
 
-    def test_sweep_csv_manifest_without_lattice_size(self, tmp_path):
+    def test_sweep_csv_reads_back_without_a_manifest(self, tmp_path):
+        # the row is the whole record: the lattice size, alpha and max_ticks
+        # of the runs are not needed to read it
+        grid = default_grid(rows=30, cols=30, k_levels=[4], delta_u_levels=[0.8],
+                            sigma_levels=[Pattern.COMPACT], p_r_levels=[0.0, 0.02],
+                            gamma_levels=[9], alpha=0.3, max_ticks=300)
+        records = run_sweep(grid, master_seed=5)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv([], path)
-        (tmp_path / "sweep.csv.manifest.json").write_text('{"parameters": {}}')
-        with pytest.raises(ValueError, match="lattice size"):
-            read_sweep_csv(path)
+        write_sweep_csv(records, path)
+        assert read_sweep_csv(path) == records
+
+    def test_record_is_the_row(self):
+        assert [f.name for f in dataclasses.fields(SweepRecord)] == SWEEP_CSV_HEADER
 
     def test_sweep_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
