@@ -38,8 +38,6 @@ class BassParams:
     def __post_init__(self) -> None:
         _check_real("p", self.p)
         _check_real("q", self.q)
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError(f"non-finite coefficients: p={self.p}, q={self.q}")
         if self.p <= 0:
             raise ValueError(f"p must be > 0, got {self.p}")
         if self.q < 0:

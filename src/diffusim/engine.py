@@ -30,8 +30,8 @@ the tick's seeds are joined to its deciders only while seeding lasts.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,21 +63,14 @@ class DecisionParams:
         _check_real("delta_u", self.delta_u)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not math.isfinite(self.delta_u):
-            raise ValueError(f"delta_u must be finite, got {self.delta_u}")
 
 
 @dataclass(frozen=True)
 class AdoptionTrajectory:
-    """Cumulative adoption proportion per tick; index 0 is the pre-launch 0.
-
-    saturated_at is the first tick at which every agent has adopted (the
-    first proportion of 1), or None if the run stopped before full adoption.
-    """
+    """Cumulative adoption proportion per tick; index 0 is the pre-launch 0."""
 
     proportions: np.ndarray
     population: int
-    saturated_at: int | None
 
     def __post_init__(self) -> None:
         props = np.asarray(self.proportions, dtype=float)
@@ -88,12 +81,13 @@ class AdoptionTrajectory:
         if np.any(np.diff(props) < 0):
             raise ValueError("adoption proportions must be non-decreasing")
         _check_integer("population", self.population, 1)
-        if self.saturated_at is not None:
-            full = np.flatnonzero(props == 1.0)
-            if not len(full):
-                raise ValueError("saturated_at set but no proportion is 1")
-            first = int(full[0])
-            _check_integer("saturated_at", self.saturated_at, first, first)
+
+    @cached_property
+    def saturated_at(self) -> int | None:
+        """The first tick at which every agent has adopted (the first
+        proportion of 1), or None if the run stopped before full adoption."""
+        full = np.flatnonzero(np.asarray(self.proportions) == 1.0)
+        return int(full[0]) if len(full) else None
 
     @property
     def adopter_counts(self) -> np.ndarray:
@@ -272,7 +266,6 @@ def simulate(
 
     proportions = [0.0]
     adopted_total = 0
-    saturated_at = None
     zero_change_streak = 0
 
     for t in range(1, max_ticks + 1):
@@ -300,7 +293,6 @@ def simulate(
             on_tick(t, adopted)
 
         if adopted_total == n:
-            saturated_at = t
             break
         if t >= last_tick:
             zero_change_streak = zero_change_streak + 1 if delta == 0 else 0
@@ -309,9 +301,7 @@ def simulate(
 
     props = np.asarray(proportions)
     props.setflags(write=False)
-    return AdoptionTrajectory(
-        proportions=props, population=n, saturated_at=saturated_at
-    )
+    return AdoptionTrajectory(proportions=props, population=n)
 
 
 def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:
@@ -324,17 +314,30 @@ def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:
             writer.writerow([tick, int(count), repr(float(prop))])
 
 
+def _read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
+    """A CSV file's header ([] for an empty file) and its non-blank rows as
+    dicts keyed by it. Every CSV reader reads through it, so a row whose field
+    count is not its header's raises ValueError naming its line; csv.DictReader
+    would pad a short row with None and drop a long row's extra fields."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header, rows = next(reader, []), []
+        for fields in filter(None, reader):
+            if len(fields) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(fields)} "
+                                 f"fields, its header {len(header)}")
+            rows.append(dict(zip(header, fields)))
+    return header, rows
+
+
 def read_trajectory_csv(path) -> AdoptionTrajectory:
     """Load a trajectory from CSV with header tick,proportion. With an
     adopters column, as write_trajectory_csv writes, the population is the
     integer N the last row with a proportion above 0 gives, and every row
     must have rint(proportion * N) == adopters; without one it is 1."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        header = reader.fieldnames or []  # None when the file is empty
-        if "tick" not in header or "proportion" not in header:
-            raise ValueError(f"missing tick/proportion columns in {header}")
-        rows = list(reader)
+    header, rows = _read_csv(path)
+    if "tick" not in header or "proportion" not in header:
+        raise ValueError(f"missing tick/proportion columns in {header}")
     if [int(row["tick"]) for row in rows] != list(range(len(rows))):
         raise ValueError("ticks must be consecutive from 0")
     props = np.asarray([float(row["proportion"]) for row in rows], dtype=float)
@@ -348,6 +351,4 @@ def read_trajectory_csv(path) -> AdoptionTrajectory:
             population = round(min(int(adopters[last]) / float(props[last]), 2.0**62))
         if population < 1 or np.any(np.rint(props * population) != adopters):
             raise ValueError(f"adopters disagree with population {population}")
-    full = np.flatnonzero(props >= 1.0)
-    return AdoptionTrajectory(props, population=population,
-                              saturated_at=int(full[0]) if len(full) else None)
+    return AdoptionTrajectory(props, population=population)

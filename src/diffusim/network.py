@@ -11,6 +11,7 @@ them to uniformly random nodes, preserving the total edge count.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -50,17 +51,17 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Reject a value that is not a Python or numpy integer or float that a
-    float can hold; a bool is not a number. Each field checks its own range
-    after this."""
+    """Reject a value that is not a Python or numpy integer or float whose
+    float is finite (not inf, NaN or an int past a float's range); a bool is
+    not a number. Each field checks its own range after this."""
     if not isinstance(value, bool) and isinstance(
             value, (int, float, np.integer, np.floating)):
         try:
-            float(value)
-            return
+            if math.isfinite(value):
+                return
         except OverflowError:
             pass
-    raise ValueError(f"{name} must be a real number that a float can hold, "
+    raise ValueError(f"{name} must be a real number, finite as a float, "
                      f"got {value!r}")
 
 

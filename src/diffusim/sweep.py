@@ -20,7 +20,7 @@ import numpy as np
 
 from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.engine import AdoptionTrajectory, DecisionParams, simulate
+from diffusim.engine import AdoptionTrajectory, DecisionParams, _read_csv, simulate
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
@@ -404,8 +404,6 @@ def roi_check(
     for name, value in (("t_star", t_star), ("profit_per_adopter", profit_per_adopter),
                         ("investment", investment), ("roi_min", roi_min)):
         _check_real(name, value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     t_base = takeoff_time(base)
     t_boost = takeoff_time(boosted)
     if t_star <= max(t_base, t_boost):
@@ -442,22 +440,21 @@ def read_sweep_csv(path) -> list[SweepRecord]:
     Raises:
         ValueError: the header is not the pinned one, or a row is malformed.
     """
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_CSV_HEADER:
-            raise ValueError(f"unexpected sweep CSV header: {reader.fieldnames}")
-        for row in reader:
-            records.append(SweepRecord(
-                k=int(row["k"]), delta_u=float(row["delta_u"]),
-                sigma=Pattern(row["sigma"]), p_r=float(row["p_r"]),
-                gamma=int(row["gamma"]), seed=int(row["seed"]),
-                replication=int(row["replication"]), p=float(row["p"]),
-                q=float(row["q"]), r_squared=float(row["r_squared"]),
-                takeoff=float(row["takeoff"]),
-                saturation_tick=int(row["saturation_tick"]),
-            ))
-    return records
+    header, rows = _read_csv(path)
+    if header != SWEEP_CSV_HEADER:
+        raise ValueError(f"unexpected sweep CSV header: {header}")
+    return [
+        SweepRecord(
+            k=int(row["k"]), delta_u=float(row["delta_u"]),
+            sigma=Pattern(row["sigma"]), p_r=float(row["p_r"]),
+            gamma=int(row["gamma"]), seed=int(row["seed"]),
+            replication=int(row["replication"]), p=float(row["p"]),
+            q=float(row["q"]), r_squared=float(row["r_squared"]),
+            takeoff=float(row["takeoff"]),
+            saturation_tick=int(row["saturation_tick"]),
+        )
+        for row in rows
+    ]
 
 
 def write_envelope_csv(hull: np.ndarray, path) -> None:
@@ -472,14 +469,13 @@ def write_envelope_csv(hull: np.ndarray, path) -> None:
 def read_empirical_csv(path) -> list[tuple[str, float, float]]:
     """Load labeled empirical (p, q) points from `label,p,q` rows; another
     header, or a row whose p or q is not finite, raises ValueError."""
+    header, rows = _read_csv(path)
+    if header != ["label", "p", "q"]:
+        raise ValueError(f"expected label,p,q header, got {header}")
     points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["label", "p", "q"]:
-            raise ValueError(f"expected label,p,q header, got {reader.fieldnames}")
-        for row in reader:
-            p, q = float(row["p"]), float(row["q"])
-            if not (math.isfinite(p) and math.isfinite(q)):
-                raise ValueError(f"point {row['label']!r} is not finite: p={p}, q={q}")
-            points.append((row["label"], p, q))
+    for row in rows:
+        p, q = float(row["p"]), float(row["q"])
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise ValueError(f"point {row['label']!r} is not finite: p={p}, q={q}")
+        points.append((row["label"], p, q))
     return points

@@ -8,12 +8,14 @@ The checkout's `src` is put first on PYTHONPATH, so the tests that start
 `python -m diffusim.cli` in a child process import the same package as the
 tests themselves without an installed copy.
 
-Each test runs under a time limit, so a hang (a rejection loop that never
-ends, say) fails its test instead of stalling the suite.
+Each test, and the setup of each fixture wider than a test, runs under a
+time limit, so a hang (a rejection loop that never ends, say) fails its test
+instead of stalling the suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import signal
@@ -84,10 +86,10 @@ class TimeLimitExceeded(BaseException):
     among it) lets it through and the test fails at once."""
 
 
-@pytest.fixture(autouse=True)
-def time_limit():
-    """Arm SIGALRM for the test's own run (its function-scoped fixtures and
-    call); where SIGALRM does not exist the test runs without a limit."""
+@contextlib.contextmanager
+def _time_limit():
+    """Arm SIGALRM for the block; where SIGALRM does not exist the block runs
+    without a limit."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
@@ -102,3 +104,22 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """The limit over the test's own run: its function-scoped fixtures and
+    its call."""
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_fixture_setup(fixturedef, request):
+    """The limit over the setup of a class-, module-, package- or
+    session-scoped fixture (the acceptance sweep, say): pytest sets those up
+    before the test's function-scoped `time_limit`."""
+    if fixturedef.scope == "function":
+        return (yield)
+    with _time_limit():
+        return (yield)

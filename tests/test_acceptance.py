@@ -159,7 +159,7 @@ def test_fitter_recovers_noiseless_curves():
         for q in np.linspace(0.3, 1.0, 5):
             true = BassParams(float(p), float(q))
             y = bass_curve(true, np.arange(80, dtype=float))
-            traj = AdoptionTrajectory(y, population=40000, saturated_at=None)
+            traj = AdoptionTrajectory(y, population=40000)
             res = fit_bass(traj)
             assert abs(res.params.p - true.p) / true.p < 1e-5, (p, q)
             assert abs(res.params.q - true.q) / true.q < 1e-5, (p, q)

@@ -43,7 +43,7 @@ MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
 
 def synthetic_trajectory(params: BassParams, ticks: int) -> AdoptionTrajectory:
     y = bass_curve(params, np.arange(ticks, dtype=float))
-    return AdoptionTrajectory(proportions=y, population=40000, saturated_at=None)
+    return AdoptionTrajectory(proportions=y, population=40000)
 
 
 def simulated_trajectory(seed=3, gamma=250, delta_u=0.6, p_r=0.0):
@@ -132,7 +132,7 @@ def noisy_bass_trajectory(p, q, population, ticks, seed):
     times = np.sort(-np.log((1.0 - u) / (1.0 + u * q / p)) / (p + q))
     t = np.arange(ticks, dtype=float)
     y = np.searchsorted(times, t, side="right") / population
-    return AdoptionTrajectory(y, population=population, saturated_at=None)
+    return AdoptionTrajectory(y, population=population)
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,8 +291,8 @@ def test_jacobian_from_curve_terms_equals_frozen_expression(p, q, ticks):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(0.015, 0.4, 3000, 80, 1)  # interior optimum
-@example(0.01, 1.3, 2000, 30, 2)  # converges with q on its bound
-@example(0.01, 1.1, 2000, 30, 0)  # stops at the iteration cap
+@example(0.01, 1.3, 2000, 30, 2)  # saturates at tick 12, stops at the cap
+@example(0.01, 1.1, 2000, 30, 0)  # saturates at tick 12, stops at the cap
 # the windows of the workloads' long fits are 4-15 points: crawls along q = 1
 @example(0.005, 1.1, 1000, 4, 2)  # stops at the cap on the shortest window
 @example(0.01, 1.1, 2000, 6, 0)  # stops at the cap with q on 1.0
@@ -310,31 +310,29 @@ def test_fit_equals_frozen_fit_loop(p, q, population, ticks, seed):
 
 def test_frozen_fit_examples_reach_the_bound_and_the_cap():
     # the @example cases above cover the fit's two non-interior endings
-    bound = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.3, 2000, 30, 2))
-    assert bound.converged and bound.q_at_bound and bound.iterations < MAX_ITERATIONS
-    capped = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 30, 0))
-    assert not capped.converged and capped.q_at_bound
-    assert capped.iterations == MAX_ITERATIONS
-    # and the short-window cases reach them with q exactly on 1.0
+    bound = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 9, 0))
+    assert bound.converged and bound.params.q == Q_MAX
+    assert 100 <= bound.iterations < MAX_ITERATIONS
+    # the 30-tick cases' windows end at their saturation, tick 12
+    for args in ((0.01, 1.3, 2000, 30, 2), (0.01, 1.1, 2000, 30, 0)):
+        capped = frozen_fit_bass(noisy_bass_trajectory(*args))
+        assert not capped.converged and capped.q_at_bound
+        assert capped.iterations == MAX_ITERATIONS
+    # and the short-window cases reach the cap with q exactly on 1.0
     for args in ((0.005, 1.1, 1000, 4, 2), (0.01, 1.1, 2000, 6, 0)):
         capped = frozen_fit_bass(noisy_bass_trajectory(*args))
         assert not capped.converged and capped.params.q == Q_MAX
         assert capped.iterations == MAX_ITERATIONS
-    bound = frozen_fit_bass(noisy_bass_trajectory(0.01, 1.1, 2000, 9, 0))
-    assert bound.converged and bound.params.q == Q_MAX
-    assert 100 <= bound.iterations < MAX_ITERATIONS
 
 
 class TestDegenerateAndInvalid:
     def test_constant_zero_trajectory(self):
-        traj = AdoptionTrajectory(np.zeros(10), population=100, saturated_at=None)
+        traj = AdoptionTrajectory(np.zeros(10), population=100)
         with pytest.raises(DegenerateTrajectory):
             fit_bass(traj)
 
     def test_too_short(self):
-        traj = AdoptionTrajectory(
-            np.array([0.0, 0.1, 0.2]), population=10, saturated_at=None
-        )
+        traj = AdoptionTrajectory(np.array([0.0, 0.1, 0.2]), population=10)
         with pytest.raises(DegenerateTrajectory, match="short"):
             fit_bass(traj)
 
@@ -345,17 +343,15 @@ class TestDegenerateAndInvalid:
 class TestFitWindowAndResiduals:
     def test_window_stops_at_first_saturated_tick(self):
         props = np.array([0.0, 0.4, 0.9, 1.0, 1.0, 1.0])
-        traj = AdoptionTrajectory(props, population=10, saturated_at=3)
+        traj = AdoptionTrajectory(props, population=10)
         assert fit_window(traj).tolist() == [0.0, 0.4, 0.9, 1.0]
 
     def test_post_saturation_ticks_do_not_change_fit(self):
         base = simulated_trajectory(seed=8)
-        sat = base.saturated_at
-        assert sat is not None
+        assert base.saturated_at is not None
         padded = AdoptionTrajectory(
             np.concatenate([base.proportions, np.ones(40)]),
             population=base.population,
-            saturated_at=sat,
         )
         a, b = fit_bass(base), fit_bass(padded)
         assert a.params.p == b.params.p
@@ -377,7 +373,7 @@ class TestBounds:
     def test_fast_trajectory_pins_q_at_cap(self):
         # generated above the box, so the optimum sits on the q = 1 bound
         y = bass_curve(BassParams(0.05, 1.4), np.arange(40, dtype=float))
-        traj = AdoptionTrajectory(y, population=40000, saturated_at=None)
+        traj = AdoptionTrajectory(y, population=40000)
         res = fit_bass(traj)
         assert res.params.q == 1.0
         assert res.q_at_bound

@@ -550,6 +550,28 @@ def test_envelope_malformed_sweep_csv(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_envelope_short_sweep_row_is_config_error(sweep_dir, tmp_path, capsys):
+    bad = tmp_path / "sweep.csv"
+    bad.write_text((sweep_dir / "sweep.csv").read_text() + "8,0.6,uniform,0.0,5\n")
+    code, _, err = run_cli(capsys, "envelope", str(bad),
+                           "--k", "8", "--delta-u", "0.8", "--sigma", "uniform",
+                           "--out", str(tmp_path / "env.csv"))
+    assert code == EXIT_CONFIG
+    assert f"malformed sweep CSV {bad}: line " in err
+
+
+def test_envelope_short_points_row_is_config_error(sweep_dir, tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("label,p,q\nBass,0.03\n")
+    code, _, err = run_cli(capsys, "envelope", str(sweep_dir / "sweep.csv"),
+                           "--k", "8", "--delta-u", "0.8", "--sigma", "uniform",
+                           "--points", str(points),
+                           "--out", str(tmp_path / "env.csv"))
+    assert code == EXIT_CONFIG
+    assert f"malformed points CSV {points}: line 2 has 2 fields" in err
+    assert not (tmp_path / "env.csv").exists()
+
+
 @pytest.mark.parametrize(
     "k,sigma,named",
     [("6", "compact", "--k"), ("8", "clustered", "sigma")],

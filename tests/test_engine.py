@@ -59,7 +59,6 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
 
     proportions = [0.0]
     adopted_total = 0
-    saturated_at = None
     zero_change_streak = 0
 
     for t in range(1, max_ticks + 1):
@@ -88,7 +87,6 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
             on_tick(t, a_view)
 
         if adopted_total == n:
-            saturated_at = t
             break
         if t >= last_tick:
             zero_change_streak = zero_change_streak + 1 if delta == 0 else 0
@@ -97,9 +95,7 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
 
     props = np.asarray(proportions)
     props.setflags(write=False)
-    return AdoptionTrajectory(
-        proportions=props, population=n, saturated_at=saturated_at
-    )
+    return AdoptionTrajectory(proportions=props, population=n)
 
 
 def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
@@ -239,43 +235,27 @@ class TestAdoptionThreshold:
 class TestTrajectoryType:
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            AdoptionTrajectory(np.array([0.1, 0.5]), population=10, saturated_at=None)
+            AdoptionTrajectory(np.array([0.1, 0.5]), population=10)
 
     def test_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
-            AdoptionTrajectory(np.array([0.0, 0.5, 0.4]), population=10, saturated_at=None)
+            AdoptionTrajectory(np.array([0.0, 0.5, 0.4]), population=10)
 
     @pytest.mark.parametrize("props", [[], [0.0, np.nan, 0.5], [0.0, 0.5, np.inf],
                                        [0.0, 0.5, 1.4]])
     def test_proportions_must_be_non_empty_and_in_unit_interval(self, props):
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-            AdoptionTrajectory(np.array(props), population=10, saturated_at=None)
+            AdoptionTrajectory(np.array(props), population=10)
 
-    def test_saturated_requires_final_one(self):
-        with pytest.raises(ValueError):
-            AdoptionTrajectory(np.array([0.0, 0.5]), population=10, saturated_at=1)
-
-    @pytest.mark.parametrize("saturated_at", [1, 7, True, 2.0, np.float64(2)],
-                             ids=["early", "past-the-end", "bool", "float", "numpy-float"])
-    def test_saturated_at_is_the_first_full_tick(self, saturated_at):
-        # fit_window cuts the record at saturated_at, so any other value
-        # would fit the wrong window
-        with pytest.raises(ValueError, match="^saturated_at must be an integer"):
-            AdoptionTrajectory(np.array([0.0, 0.25, 1.0]), population=4,
-                               saturated_at=saturated_at)
-
-    def test_saturated_at_before_a_repeated_full_tick(self):
-        traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0, 1.0]), population=4,
-                                  saturated_at=np.int64(2))
-        assert traj.saturated_at == 2
-        with pytest.raises(ValueError, match="^saturated_at"):
-            AdoptionTrajectory(np.array([0.0, 0.25, 1.0, 1.0]), population=4,
-                               saturated_at=3)
+    def test_saturated_at_is_the_first_full_tick(self):
+        # fit_window cuts the record there; a Python int, so that a row
+        # holding it serializes
+        traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0, 1.0]), population=4)
+        assert traj.saturated_at == 2 and type(traj.saturated_at) is int
+        assert AdoptionTrajectory(np.array([0.0, 0.5]), population=10).saturated_at is None
 
     def test_adopter_counts_roundtrip(self):
-        traj = AdoptionTrajectory(
-            np.array([0.0, 0.25, 1.0]), population=8, saturated_at=2
-        )
+        traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0]), population=8)
         assert traj.adopter_counts.tolist() == [0, 2, 8]
         assert traj.final_proportion == 1.0
 
@@ -655,9 +635,7 @@ class TestValidation:
 
 class TestTrajectoryExport:
     def test_csv_format(self, tmp_path):
-        traj = AdoptionTrajectory(
-            np.array([0.0, 0.25, 1.0]), population=4, saturated_at=2
-        )
+        traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0]), population=4)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
         with open(out, newline="") as fh:
@@ -689,6 +667,13 @@ class TestTrajectoryExport:
         path = tmp_path / "traj.csv"
         path.write_text("tick,adopters,proportion\n" + rows)
         with pytest.raises(ValueError, match="adopters disagree"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("row", ["2,4", "2,4,1.0,x"], ids=["short", "long"])
+    def test_row_needs_the_header_s_field_count(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"tick,adopters,proportion\n0,0,0.0\n1,1,0.25\n{row}\n")
+        with pytest.raises(ValueError, match="^line 4 has"):
             read_trajectory_csv(path)
 
     def test_proportions_alone_give_population_one(self, tmp_path):

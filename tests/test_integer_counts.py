@@ -2,10 +2,12 @@
 a Python or numpy integer within the count's bounds passes; a bool, a
 non-integer or a value out of bounds is a ValueError naming the field.
 The real-valued fields share one rule too: a bool, a value that is not a
-Python or numpy number, or one that a float cannot hold is a ValueError
-naming the field."""
+Python or numpy number, or one whose float is not finite (inf, NaN or an
+int past a float's range) is a ValueError naming the field."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ COUNTS = [
     ("LatticeSpec", "cols", 2, lambda v: LatticeSpec(3, v, Neighborhood.MOORE)),
     ("SeedingPlan", "gamma", 1, lambda v: SeedingPlan(np.array([0, 1]), v)),
     ("AdoptionTrajectory", "population", 1,
-     lambda v: AdoptionTrajectory(np.array([0.0, 1.0]), population=v, saturated_at=1)),
+     lambda v: AdoptionTrajectory(np.array([0.0, 1.0]), population=v)),
     ("SimConfig", "gamma", 1, lambda v: sim_config(gamma=v)),
     ("SimConfig", "replication", 0, lambda v: sim_config(replication=v)),
     ("SimConfig", "seed", 0, lambda v: sim_config(seed=v)),
@@ -105,9 +107,10 @@ REALS = [
 
 @pytest.mark.parametrize("field, call", [r[1:] for r in REALS],
                          ids=[f"{owner}.{field}" for owner, field, _ in REALS])
-@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j, 10**400],
-                         ids=["True", "False", "numpy-True", "str", "None", "complex",
-                              "int-past-float"])
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, "0.1", None, 1j, 10**400, math.inf, -math.inf, math.nan],
+    ids=["True", "False", "numpy-True", "str", "None", "complex", "int-past-float",
+         "inf", "minus-inf", "nan"])
 def test_real_field_rejects_bools_and_non_numbers(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be a real number"):
         call(value)

@@ -514,6 +514,17 @@ class TestCsvRoundTrips:
     def test_record_is_the_row(self):
         assert [f.name for f in dataclasses.fields(SweepRecord)] == SWEEP_CSV_HEADER
 
+    @pytest.mark.parametrize("row", [
+        "8,0.6,uniform,0.0,5",
+        "8,0.6,uniform,0.0,5,0,0,0.01,0.3,0.99,7.6,20,1",
+    ], ids=["short", "long"])
+    def test_sweep_csv_row_needs_the_header_s_field_count(self, tmp_path, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(SWEEP_CSV_HEADER) + "\n"
+                        "8,0.6,uniform,0.0,5,0,0,0.01,0.3,0.99,7.6,20\n" + row + "\n")
+        with pytest.raises(ValueError, match="^line 3 has"):
+            read_sweep_csv(path)
+
     def test_sweep_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -539,6 +550,14 @@ class TestCsvRoundTrips:
         path = tmp_path / "points.csv"
         path.write_text(f"label,p,q\nalpha,0.01,0.3\nbeta,{p},{q}\n")
         with pytest.raises(ValueError, match="'beta' is not finite"):
+            read_empirical_csv(path)
+
+    @pytest.mark.parametrize("row", ["Bass,0.03", "Bass,0.03,0.38,x"],
+                             ids=["short", "long"])
+    def test_empirical_csv_row_needs_the_header_s_field_count(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"label,p,q\n{row}\n")
+        with pytest.raises(ValueError, match="^line 2 has"):
             read_empirical_csv(path)
 
     def test_empirical_csv_header_enforced(self, tmp_path):
