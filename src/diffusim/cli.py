@@ -16,14 +16,17 @@ for a command without `--seed`), and the full parameter set needed to
 reproduce the file byte for byte (the manifest itself carries a timestamp
 and is excluded from byte-identity guarantees).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success (also when stdout's reader goes away, as under
+`| head`), 1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,10 +36,11 @@ import numpy as np
 import diffusim
 from diffusim.bass import BassParams, bass_curve, takeoff_is_degenerate, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.engine import read_trajectory_csv, write_trajectory_csv
+from diffusim.engine import _write_csv, read_trajectory_csv, write_trajectory_csv
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
+    _check_real,
     build_lattice,
     network_stats,
     rewire,
@@ -68,6 +72,19 @@ EXIT_CONFIG = 2
 
 class ConfigError(Exception):
     """Invalid configuration; message names the offending key or argument."""
+
+
+class _StdoutClosed(Exception):
+    """stdout's reader went away."""
+
+
+def _out(text: str) -> None:
+    """Print a line of output, flushed at once, so that a closed stdout shows
+    here as _StdoutClosed, not as a BrokenPipeError at interpreter exit."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
 
 
 def _checked(source: str, make, *args, **kwargs):
@@ -121,9 +138,9 @@ def _emit_json(args, text: str, parameters: dict) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
         _write_manifest(args, args.out, parameters)
-        print(f"wrote {args.out}")
+        _out(f"wrote {args.out}")
     else:
-        print(text)
+        _out(text)
     return EXIT_OK
 
 
@@ -216,8 +233,8 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(traj, args.out)
     _write_manifest(args, args.out, {"config_file": args.config, **values})
     saturated = traj.saturated_at if traj.saturated_at is not None else "never"
-    print(f"wrote {args.out}: {len(traj.proportions)} ticks, "
-          f"final proportion {traj.final_proportion}, saturated at {saturated}")
+    _out(f"wrote {args.out}: {len(traj.proportions)} ticks, "
+         f"final proportion {traj.final_proportion}, saturated at {saturated}")
     return EXIT_OK
 
 
@@ -256,8 +273,8 @@ def cmd_sweep(args) -> int:
         },
         outputs,
     )
-    print(f"wrote {sweep_path}: {len(records)} records, "
-          f"{len(outputs) - 1} envelope files")
+    _out(f"wrote {sweep_path}: {len(records)} records, "
+         f"{len(outputs) - 1} envelope files")
     return EXIT_OK
 
 
@@ -274,24 +291,21 @@ def cmd_fit(args) -> int:
 def cmd_bass(args) -> int:
     params = _checked("arguments p, q", BassParams, args.p, args.q)
     if args.t is not None:
-        print(repr(_checked("argument --t", bass_curve, params, args.t)))
+        _out(repr(_checked("argument --t", bass_curve, params, args.t)))
         return EXIT_OK
     if args.t_max < 0:
         raise ConfigError("argument --t-max must be >= 0")
-    ticks = np.arange(args.t_max + 1)
-    values = bass_curve(params, ticks.astype(float))
-    with open(args.out, "w", newline="") as fh:
-        fh.write("tick,proportion\n")
-        for tick, value in zip(ticks.tolist(), values.tolist()):
-            fh.write(f"{tick},{value!r}\n")
+    values = bass_curve(params, np.arange(args.t_max + 1, dtype=float)).tolist()
+    _write_csv(args.out, ["tick", "proportion"],
+               ([tick, repr(value)] for tick, value in enumerate(values)))
     _write_manifest(args, args.out, {"p": args.p, "q": args.q, "t_max": args.t_max})
-    print(f"wrote {args.out}")
+    _out(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_takeoff(args) -> int:
     params = _checked("arguments p, q", BassParams, args.p, args.q)
-    print(repr(_checked("argument q", takeoff_time, params)))
+    _out(repr(_checked("argument q", takeoff_time, params)))
     if takeoff_is_degenerate(params):
         print("degenerate: takeoff precedes launch (q <= p(2+sqrt(3)))",
               file=sys.stderr)
@@ -311,13 +325,14 @@ def cmd_roi(args) -> int:
     report = _checked("roi arguments", roi_check, base, boost, lattice.node_count,
                       t_star=args.t_star, profit_per_adopter=args.profit_per_adopter,
                       investment=args.investment, roi_min=args.roi_min)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    _out(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 
 def cmd_envelope(args) -> int:
     sigma = _sigma(args.sigma, "argument --sigma")
     _checked("argument --k", Neighborhood.for_k, args.k)
+    _checked("argument --delta-u", _check_real, "delta_u", args.delta_u)
     records = _read("sweep CSV", read_sweep_csv, args.sweep_csv)
     # read before anything is written, so a bad points file leaves no output
     points = _read("points CSV", read_empirical_csv, args.points) if args.points else []
@@ -328,10 +343,10 @@ def cmd_envelope(args) -> int:
         return EXIT_RUNTIME
     write_envelope_csv(hull, args.out)
     if args.points:
-        print("label,p,q,location")
+        _out("label,p,q,location")
         for label, p, q in points:
             where = locate((p, q), hull)
-            print(f"{label},{p!r},{q!r},{where.value}")
+            _out(f"{label},{p!r},{q!r},{where.value}")
     _write_manifest(
         args, args.out,
         {"sweep_csv": args.sweep_csv, "k": args.k, "delta_u": args.delta_u,
@@ -389,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid and fit every run")
     p.add_argument("config", help="JSON grid config file ({} for defaults)")
     p.add_argument("--replications", type=_count, default=1)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (1 or less runs serially)")
+    p.add_argument("--jobs", type=_count, default=1,
+                   help="worker processes, an integer >= 1: 1 runs serially, "
+                        "more run a process pool of at most one worker per "
+                        "8 grid cells")
     add_seed(p)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)
@@ -470,6 +487,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _StdoutClosed:
+        # a reader that stops early (`| head`) is no failure; stdout is
+        # pointed at devnull, so that the flush at exit cannot fail again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_OK
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

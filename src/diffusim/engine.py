@@ -306,12 +306,20 @@ def simulate(
 
 def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:
     """Export `tick,adopters,proportion` rows, one per recorded tick."""
-    counts = traj.adopter_counts
+    pairs = zip(traj.adopter_counts, traj.proportions)
+    _write_csv(path, ["tick", "adopters", "proportion"],
+               ([tick, int(count), repr(float(prop))]
+                for tick, (count, prop) in enumerate(pairs)))
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write `header`, then each of `rows`, in the csv module's default
+    dialect (comma-separated, CRLF line ends). Every CSV writer writes
+    through it, as every reader reads through `_read_csv`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tick", "adopters", "proportion"])
-        for tick, (count, prop) in enumerate(zip(counts, traj.proportions)):
-            writer.writerow([tick, int(count), repr(float(prop))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_csv(path) -> tuple[list[str], list[dict[str, str]]]:

@@ -102,9 +102,9 @@ class SocialNetwork:
     All arrays are read-only; rewiring produces a new instance.
 
     Raises:
-        ValueError: edges not an (E, 2) array, an endpoint outside
+        ValueError: edges not an (E, 2) integer array, an endpoint outside
             [0, node_count), a self-loop, or an edge listed twice (in
-            either orientation).
+            either orientation); rewire_prob not a real number in [0, 1].
 
     Attributes:
         node_count: number of agents.
@@ -118,12 +118,18 @@ class SocialNetwork:
     """
 
     def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
+        _check_real("rewire_prob", rewire_prob)
+        if not 0.0 <= rewire_prob <= 1.0:
+            raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
         n = base_spec.node_count
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must be an (E, 2) array")
+        edges = np.asarray(edges)
+        # a float array would be truncated, a bool one read as 0s and 1s
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array, "
+                             f"got {edges.dtype} of shape {edges.shape}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError(f"edge endpoint out of range [0, {n})")
+        edges = edges.astype(np.int64, copy=False)
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("edges contain a self-loop")
         # both directions keyed (src, dst); sorted, their dst values are the

@@ -9,7 +9,6 @@ vertices in counter-clockwise order; points are classified against it.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -20,7 +19,9 @@ import numpy as np
 
 from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.engine import AdoptionTrajectory, DecisionParams, _read_csv, simulate
+from diffusim.engine import (
+    AdoptionTrajectory, DecisionParams, _read_csv, _write_csv, simulate,
+)
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
@@ -43,11 +44,6 @@ SIGMA_LEVELS = (Pattern.COMPACT, Pattern.INTERMEDIATE, Pattern.UNIFORM)
 REWIRE_LEVELS = (0.0, 0.0025, 0.005, 0.01, 0.02, 0.04)
 GAMMA_LEVELS = (125, 200, 250, 500, 1000)
 K_LEVELS = (8, 4)
-
-SWEEP_CSV_HEADER = [
-    "k", "delta_u", "sigma", "p_r", "gamma", "seed", "replication",
-    "p", "q", "r_squared", "takeoff", "saturation_tick",
-]
 
 # sentinel for runs that never reached full adoption within the tick cap
 NOT_SATURATED = -1
@@ -156,6 +152,19 @@ class SweepRecord:
     saturation_tick: int
 
 
+# (text rule, parse rule) of each field type SweepRecord declares: an int as
+# written, a float as its round-trip repr, a Pattern by its value
+_FIELD_TEXT = {
+    "int": (str, int),
+    "float": (lambda value: repr(float(value)), float),
+    "Pattern": (lambda pattern: pattern.value, Pattern),
+}
+_SWEEP_COLUMNS = [
+    (field.name, *_FIELD_TEXT[field.type]) for field in dataclasses.fields(SweepRecord)
+]
+SWEEP_CSV_HEADER = [name for name, _, _ in _SWEEP_COLUMNS]
+
+
 def default_grid(
     rows: int = 200,
     cols: int = 200,
@@ -218,16 +227,6 @@ def run_once(config: SimConfig) -> SweepRecord:
     )
 
 
-def _run_config_block(args: tuple) -> list[SweepRecord]:
-    config, index, master_seed, replications = args
-    return [
-        run_once(dataclasses.replace(
-            config, seed=derive_run_seed(master_seed, index, rep), replication=rep
-        ))
-        for rep in range(replications)
-    ]
-
-
 def run_sweep(
     grid: Sequence[SimConfig],
     replications: int = 1,
@@ -239,25 +238,32 @@ def run_sweep(
     Output order is deterministic (grid order, replications within each
     config) and independent of jobs; every run's stream is derived from
     (master_seed, config index, replication), so any row can be reproduced
-    in isolation from its recorded seed.
+    in isolation from its recorded seed. jobs is the number of worker
+    processes; with more than 1 the runs go to a process pool in chunks of
+    8 grid cells, with no more workers than chunks.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
     _check_integer("replications", replications, 1)
     _check_integer("master_seed", master_seed, 0, 2**64 - 1)
-    tasks = [
-        (config, index, master_seed, replications)
+    _check_integer("jobs", jobs, 1)
+    runs = [
+        dataclasses.replace(
+            config, seed=derive_run_seed(master_seed, index, rep), replication=rep
+        )
         for index, config in enumerate(grid)
+        for rep in range(replications)
     ]
-    if jobs <= 1:
-        blocks = map(_run_config_block, tasks)
-    else:
-        # imported here, so that a --jobs 1 sweep never loads the pool
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs == 1:
+        return list(map(run_once, runs))
+    # imported here, so that a --jobs 1 sweep never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = pool.map(_run_config_block, tasks, chunksize=8)
-    return [record for block in blocks for record in block]
+    chunksize = 8 * replications
+    # fork starts every worker at once, so a worker with no chunk is waste
+    workers = min(jobs, -(-len(runs) // chunksize))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_once, runs, chunksize=chunksize))
 
 
 def cell_key(record: SweepRecord) -> tuple[int, float, str, float, int]:
@@ -421,17 +427,13 @@ def roi_check(
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], path) -> None:
-    """Export records under the pinned 12-column header. Floats are
+    """Export records, one row each, under SWEEP_CSV_HEADER: SweepRecord's
+    fields in order, each written by its type's text rule. Floats are
     round-trip repr, so identical records always serialize identically."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.k, repr(float(r.delta_u)), r.sigma.value, repr(float(r.p_r)),
-                r.gamma, r.seed, r.replication, repr(float(r.p)), repr(float(r.q)),
-                repr(float(r.r_squared)), repr(float(r.takeoff)), r.saturation_tick,
-            ])
+    _write_csv(path, SWEEP_CSV_HEADER, (
+        [text(getattr(record, name)) for name, text, _ in _SWEEP_COLUMNS]
+        for record in records
+    ))
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
@@ -444,26 +446,14 @@ def read_sweep_csv(path) -> list[SweepRecord]:
     if header != SWEEP_CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
     return [
-        SweepRecord(
-            k=int(row["k"]), delta_u=float(row["delta_u"]),
-            sigma=Pattern(row["sigma"]), p_r=float(row["p_r"]),
-            gamma=int(row["gamma"]), seed=int(row["seed"]),
-            replication=int(row["replication"]), p=float(row["p"]),
-            q=float(row["q"]), r_squared=float(row["r_squared"]),
-            takeoff=float(row["takeoff"]),
-            saturation_tick=int(row["saturation_tick"]),
-        )
+        SweepRecord(*(parse(row[name]) for name, _, parse in _SWEEP_COLUMNS))
         for row in rows
     ]
 
 
 def write_envelope_csv(hull: np.ndarray, path) -> None:
     """Export hull vertices as `p,q` rows in counter-clockwise order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "q"])
-        for p, q in hull:
-            writer.writerow([repr(float(p)), repr(float(q))])
+    _write_csv(path, ["p", "q"], ([repr(float(p)), repr(float(q))] for p, q in hull))
 
 
 def read_empirical_csv(path) -> list[tuple[str, float, float]]:

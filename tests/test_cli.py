@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -447,8 +448,10 @@ def test_sweep_bad_sigma_level_names_the_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,named",
     [(["sweep", "grid.json", "--replications", "0"], "--replications"),
+     (["sweep", "grid.json", "--jobs", "0"], "--jobs"),
+     (["sweep", "grid.json", "--jobs", "-2"], "--jobs"),
      (["netstats", "--sample", "0"], "--sample")],
-    ids=["replications", "sample"],
+    ids=["replications", "jobs", "negative-jobs", "sample"],
 )
 def test_count_below_one_is_a_usage_error(capsys, monkeypatch, argv, named):
     _no_runs(monkeypatch)
@@ -573,15 +576,18 @@ def test_envelope_short_points_row_is_config_error(sweep_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "k,sigma,named",
-    [("6", "compact", "--k"), ("8", "clustered", "sigma")],
+    "k,delta_u,sigma,named",
+    [("6", "0.6", "compact", "--k"), ("8", "0.6", "clustered", "sigma"),
+     # a non-finite delta_u would match no record
+     ("8", "nan", "uniform", "--delta-u: delta_u must be a real number"),
+     ("8", "-inf", "uniform", "--delta-u: delta_u must be a real number")],
 )
-def test_envelope_checks_arguments_before_reading(tmp_path, capsys, k, sigma,
-                                                  named):
+def test_envelope_checks_arguments_before_reading(tmp_path, capsys, k, delta_u,
+                                                  sigma, named):
     # the sweep CSV does not exist, so only an argument check can name the
     # bad argument
     code, _, err = run_cli(capsys, "envelope", str(tmp_path / "missing.csv"),
-                           "--k", k, "--delta-u", "0.6", "--sigma", sigma)
+                           "--k", k, f"--delta-u={delta_u}", "--sigma", sigma)
     assert code == EXIT_CONFIG
     assert named in err
     assert "sweep CSV" not in err
@@ -807,6 +813,62 @@ def test_sweep_loads_no_scipy_until_network_stats(tmp_path):
     assert loaded["ma_after_sweep"] is False
     assert "scipy.sparse.csgraph" in loaded["after_netstats"]
     assert loaded["mean_degree"] == pytest.approx(2 * 72 / 25)
+
+
+# ---- a closed stdout ----
+
+NETSTATS_10x10 = ["netstats", "--k", "8", "--rows", "10", "--cols", "10",
+                  "--sample", "5", "--p-r", "0.1"]
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["takeoff", "0.03", "0.4"], NETSTATS_10x10],
+                         ids=["takeoff", "netstats"])
+def test_closed_stdout_is_no_failure(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_elsewhere_is_a_runtime_failure(capsys, monkeypatch):
+    def broken(params):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("diffusim.cli.takeoff_time", broken)
+    code, _, err = run_cli(capsys, "takeoff", "0.03", "0.4")
+    assert code == EXIT_RUNTIME
+    assert "runtime failure: [Errno 32] Broken pipe" in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_pipe_on_stdout_exits_zero_without_a_traceback(unbuffered):
+    # the pipe's read end is closed before the command starts, as `| head -1`
+    # closes it after one line; buffered, a failed write would otherwise
+    # surface only when the interpreter flushes stdout at exit
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffusim.cli", *NETSTATS_10x10],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
 
 
 def test_module_entry_point_version():

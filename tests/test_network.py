@@ -175,11 +175,20 @@ SPEC_3x3 = LatticeSpec(3, 3, Neighborhood.VON_NEUMANN)
         ([(0, 1), (2, 9)], "range"),
         ([(0, 1), (-1, 2)], "range"),
         ([0, 1, 2], r"\(E, 2\)"),
+        # truncation would make these (0, 1), (2, 5) and (0, 1)
+        ([(0, 1.7), (2.9, 5)], r"\(E, 2\) integer array, got float64"),
+        ([(False, True)], r"\(E, 2\) integer array, got bool"),
     ],
 )
 def test_constructor_rejects_malformed_edges(edges, match):
     with pytest.raises(ValueError, match=match):
         SocialNetwork(np.array(edges), SPEC_3x3, 0.0)
+
+
+@pytest.mark.parametrize("rewire_prob", [-3.0, -1e-9, 1.5])
+def test_constructor_rejects_rewire_prob_outside_the_unit_interval(rewire_prob):
+    with pytest.raises(ValueError, match=r"^rewire_prob must be in \[0, 1\]"):
+        SocialNetwork(np.array([(0, 1)]), SPEC_3x3, rewire_prob)
 
 
 @settings(max_examples=60, deadline=None)

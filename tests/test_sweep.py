@@ -1,5 +1,6 @@
 """Sweep harness, envelope geometry, nearest-record lookup, ROI rule."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -184,6 +185,36 @@ class TestRunSweep:
         assert (tmp_path / "serial.csv").read_bytes() == (
             tmp_path / "pooled.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("cells,replications,jobs,workers", [
+        (12, 1, 500, 2), (12, 2, 2, 2), (17, 1, 2, 2), (1, 3, 4, 1),
+    ])
+    def test_pool_has_no_worker_without_a_chunk(self, monkeypatch, cells,
+                                                 replications, jobs, workers):
+        # a stand-in pool records what it is asked for and starts no process
+        asked = {}
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, runs, chunksize):
+                asked["chunksize"] = chunksize
+                return map(fn, runs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        grid = [small_config(gamma=gamma, max_ticks=100)
+                for gamma in range(5, 5 + cells)]
+        records = run_sweep(grid, replications=replications, master_seed=3, jobs=jobs)
+        # chunks of 8 grid cells, as many workers as chunks at most
+        assert asked == {"max_workers": workers, "chunksize": 8 * replications}
+        assert records == run_sweep(grid, replications=replications, master_seed=3)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -512,7 +543,28 @@ class TestCsvRoundTrips:
         assert read_sweep_csv(path) == records
 
     def test_record_is_the_row(self):
-        assert [f.name for f in dataclasses.fields(SweepRecord)] == SWEEP_CSV_HEADER
+        # SweepRecord's fields are sweep.csv's format: their names are the
+        # header, their types each column's text rule
+        assert [(f.name, f.type) for f in dataclasses.fields(SweepRecord)] == [
+            ("k", "int"), ("delta_u", "float"), ("sigma", "Pattern"),
+            ("p_r", "float"), ("gamma", "int"), ("seed", "int"),
+            ("replication", "int"), ("p", "float"), ("q", "float"),
+            ("r_squared", "float"), ("takeoff", "float"),
+            ("saturation_tick", "int"),
+        ]
+
+    def test_sweep_csv_roundtrips_an_unfitted_unsaturated_row(self, tmp_path):
+        record = SweepRecord(4, 0.8, Pattern.COMPACT, 0.0025, 125, 2**64 - 1, 3,
+                             math.nan, math.nan, math.nan, math.nan, NOT_SATURATED)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([record], path)
+        assert path.read_bytes().splitlines()[1] == (
+            b"4,0.8,compact,0.0025,125,18446744073709551615,3,nan,nan,nan,nan,-1"
+        )
+        (loaded,) = read_sweep_csv(path)
+        # compared by repr, as NaN != NaN; repr also tells an int from a float
+        for field in dataclasses.fields(SweepRecord):
+            assert repr(getattr(loaded, field.name)) == repr(getattr(record, field.name))
 
     @pytest.mark.parametrize("row", [
         "8,0.6,uniform,0.0,5",
