@@ -82,10 +82,6 @@ def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
     return n, dn_dp, dn_dq
 
 
-def _clip(p: float, q: float) -> tuple[float, float]:
-    return min(max(p, P_MIN), P_MAX), min(max(q, Q_MIN), Q_MAX)
-
-
 def fit_window(traj: AdoptionTrajectory) -> np.ndarray:
     """Observed proportions from tick 0 through the first saturated tick
     (or the whole record when the run never saturated)."""
@@ -117,7 +113,7 @@ def fit_bass(traj: AdoptionTrajectory) -> FitResult:
         raise DegenerateTrajectory("observed proportions have zero variance")
 
     t = np.arange(len(y), dtype=float)
-    p, q = _clip(max(float(y[1]), 1e-3), 0.5)
+    p, q = max(float(y[1]), 1e-3), 0.5  # inside the box: y[1] <= 1
     n, terms = _curve(p, q, t)
     resid = y - n
     current = float(resid.dot(resid))
@@ -142,7 +138,7 @@ def fit_bass(traj: AdoptionTrajectory) -> FitResult:
             if not det > 0.0:  # singular, or NaN
                 lam *= 10.0
                 continue
-            # the step, clipped to the box as _clip does
+            # the step, clipped to the box [P_MIN, P_MAX] x [Q_MIN, Q_MAX]
             cand_p = p + (d1 * g0 - b * g1) / det
             cand_p = P_MIN if P_MIN > cand_p else P_MAX if P_MAX < cand_p else cand_p
             cand_q = q + (d0 * g1 - b * g0) / det

@@ -195,7 +195,7 @@ _SIMULATE_KEYS = {
     "max_ticks": (SimConfig.max_ticks, _integer),
 }
 
-# the keys are default_grid's parameters
+# the keys are default_grid's parameters, with its defaults in JSON terms
 _SWEEP_KEYS = {
     "rows": (200, _integer),
     "cols": (200, _integer),
@@ -405,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON grid config file ({} for defaults)")
     p.add_argument("--replications", type=_count, default=1)
     p.add_argument("--jobs", type=_count, default=1,
-                   help="worker processes, an integer >= 1: 1 runs serially, "
-                        "more run a process pool of at most one worker per "
-                        "8 grid cells")
+                   help="most worker processes, an integer >= 1: at most "
+                        "one per 8 grid cells, and a sweep left with one "
+                        "runs in-process")
     add_seed(p)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)

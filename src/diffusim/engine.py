@@ -140,16 +140,18 @@ def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarra
 
 
 def _adopt(table: np.ndarray, nodes: np.ndarray, need: np.ndarray) -> int:
-    """Take one off the `need` of each neighbor of `nodes` (and the spare
-    slot's, once per padding entry of their `table` rows), in place; returns
-    len(nodes)."""
+    """Mark `nodes` adopted (`_DONE`), then take one off the `need` of each
+    of their neighbors (and the spare slot's, once per padding entry of their
+    `table` rows), in place; returns len(nodes). After set-up it is the only
+    writer of `need`."""
+    need[nodes] = _DONE
     np.subtract.at(need, table.take(nodes, axis=0).ravel(), _ONE)
     return len(nodes)
 
 
 def _random_sequential_pass(
     table: np.ndarray, need: np.ndarray, rng: np.random.Generator,
-) -> int:
+) -> np.ndarray:
     """One tick's decisions under the random-sequential contract (module
     docstring), computed in waves.
 
@@ -159,43 +161,39 @@ def _random_sequential_pass(
     contract. In that loop an agent adopts iff its start-of-tick `need` minus
     the number of its neighbors that adopt earlier in the order is at most 0.
     The definition refers only to earlier-ranked agents, so it has exactly
-    one solution. `seen` holds each agent's start `need` minus its
-    earlier-ranked neighbors found to adopt so far. Wave 0 is the agents
-    ready at the start of the tick; each later wave is the agents whose
-    `seen` has just reached 0 (wave members leave at `_DONE`). Only adopters
-    are counted, so every wave member belongs to the solution. By induction
-    on rank every member of the solution joins a wave: it is ready at the
-    start, or it joins the wave after the one holding the last of its
+    one solution. `seen`, a copy of `need`, holds each agent's start `need`
+    minus its earlier-ranked neighbors found to adopt so far. Wave 0 is the
+    agents ready at the start of the tick; each later wave is the agents
+    whose `seen` has just reached 0 (wave members leave at `_DONE`). Only
+    adopters are counted, so every wave member belongs to the solution. By
+    induction on rank every member of the solution joins a wave: it is ready
+    at the start, or it joins the wave after the one holding the last of its
     earlier-ranked adopter neighbors. So the waves stop exactly at the
-    solution. `need` loses every adopter's neighbors, as the loop's
-    decrements leave it at the end of the tick.
+    solution.
 
     A wave's neighbors are gathered as rows of the padded `table`, and
     "ranked after the adopter" is one 2-D compare of their ranks against
     the adopter's. A padding entry names the spare last slot, which ranks
-    last like every agent not deciding; `need` and `seen` hold `_DONE`
-    there, so it never joins a wave. The gathered rows are cast to intp
-    once per wave: numpy casts an int32 index array to intp on every fancy
-    index and `ufunc.at`, and they index 3-4 times. The table itself stays
-    int32, which halves its memory; `rank` is int32 too, read with `take`.
+    -1 like every agent not deciding, so it is never ranked after an
+    adopter. The gathered rows are cast to intp once per wave: numpy casts
+    an int32 index array to intp on every fancy index and `ufunc.at`, and
+    their entries index 2-5 times. The table itself stays int32, which
+    halves its memory; `rank` is int32 too, read with `take`.
 
-    Updates `need` in place; returns the number of agents that adopted.
+    Reads `need` only; returns the tick's adopters, each once, wave by wave.
     """
     n = len(table)
     candidates = np.flatnonzero(need[:n] < _DECIDED)
-    rank = np.full(n + 1, n, dtype=np.int32)  # non-deciders and slot n rank last
+    rank = np.full(n + 1, -1, dtype=np.int32)  # non-deciders and slot n
     rank[candidates[rng.permutation(len(candidates))]] = np.arange(
         len(candidates), dtype=np.int32
     )
     seen = need.copy()
     slot = np.empty(n, dtype=np.int64)  # scratch for the wave dedupe
-    wave = np.flatnonzero(need <= 0)
-    total = 0
-    while len(wave):
-        need[wave] = seen[wave] = _DONE
-        total += len(wave)
+    waves = [np.flatnonzero(need <= 0)]
+    while len(wave := waves[-1]):
+        seen[wave] = _DONE
         touched = table.take(wave, axis=0).astype(np.intp)
-        np.subtract.at(need, touched.ravel(), _ONE)
         later = touched[rank.take(touched) > rank.take(wave)[:, None]]
         np.subtract.at(seen, later, _ONE)
         ready = later[seen[later] <= 0]
@@ -203,8 +201,8 @@ def _random_sequential_pass(
         # reads back its own stamp; the waves' order does not matter
         stamp = np.arange(len(ready))
         slot[ready] = stamp
-        wave = ready[slot[ready] == stamp]
-    return total
+        waves.append(ready[slot[ready] == stamp])
+    return np.concatenate(waves)
 
 
 def simulate(
@@ -274,13 +272,12 @@ def simulate(
             # this tick's seeds or adopters
             np.less_equal(need, 0, out=ready)
             nodes = ready.nonzero()[0]
-            need[nodes] = _DONE
             if t <= last_tick:
                 nodes = np.concatenate((plan.seeds_at(t), nodes))
             delta = _adopt(table, nodes, need)
         else:
             delta = _adopt(table, plan.seeds_at(t), need)
-            delta += _random_sequential_pass(table, need, rng)
+            delta += _adopt(table, _random_sequential_pass(table, need, rng), need)
         adopted_total += delta
         proportions.append(adopted_total / n)
 

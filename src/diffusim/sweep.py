@@ -238,9 +238,9 @@ def run_sweep(
     Output order is deterministic (grid order, replications within each
     config) and independent of jobs; every run's stream is derived from
     (master_seed, config index, replication), so any row can be reproduced
-    in isolation from its recorded seed. jobs is the number of worker
-    processes; with more than 1 the runs go to a process pool in chunks of
-    8 grid cells, with no more workers than chunks.
+    in isolation from its recorded seed. jobs is the most worker processes
+    to use: the runs go in chunks of 8 grid cells to a pool of at most one
+    worker per chunk, or run in this process when that leaves one worker.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -254,14 +254,15 @@ def run_sweep(
         for index, config in enumerate(grid)
         for rep in range(replications)
     ]
-    if jobs == 1:
+    chunksize = 8 * replications
+    # fork starts every worker at once, so a worker with no chunk is waste;
+    # a pool of one would run every chunk serially, after a fork
+    workers = min(jobs, -(-len(runs) // chunksize))
+    if workers == 1:
         return list(map(run_once, runs))
-    # imported here, so that a --jobs 1 sweep never loads the pool
+    # imported here, so that an in-process sweep never loads the pool
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = 8 * replications
-    # fork starts every worker at once, so a worker with no chunk is waste
-    workers = min(jobs, -(-len(runs) // chunksize))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_once, runs, chunksize=chunksize))
 

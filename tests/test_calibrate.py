@@ -20,7 +20,6 @@ from diffusim.calibrate import (
     STEP_TOL,
     DegenerateTrajectory,
     FitResult,
-    _clip,
     _curve_and_jacobian,
     fit_bass,
     fit_window,
@@ -202,11 +201,15 @@ def frozen_jacobian(p, q, t, e):
     return w * (q * one_minus_e + p * st), (p * w) * (st - one_minus_e)
 
 
+def frozen_clip(p, q):
+    return min(max(p, P_MIN), P_MAX), min(max(q, Q_MIN), Q_MAX)
+
+
 def frozen_fit_bass(traj):
     y = fit_window(traj)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     t = np.arange(len(y), dtype=float)
-    p, q = _clip(max(float(y[1]), 1e-3), 0.5)
+    p, q = frozen_clip(max(float(y[1]), 1e-3), 0.5)
 
     def trial(pv, qv):
         e = np.exp(-(pv + qv) * t)
@@ -229,7 +232,7 @@ def frozen_fit_bass(traj):
             if not det > 0.0:
                 lam *= 10.0
                 continue
-            cand_p, cand_q = _clip(
+            cand_p, cand_q = frozen_clip(
                 p + (d1 * g0 - b * g1) / det, q + (d0 * g1 - b * g0) / det
             )
             cand_resid, cand_e, cand_sse = trial(cand_p, cand_q)

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, reproducibility."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
-from diffusim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, manifest_path
+from diffusim.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _SWEEP_KEYS,
+    main,
+    manifest_path,
+)
 from diffusim.engine import read_trajectory_csv
 from diffusim.seeding import Pattern
 from diffusim.sweep import default_grid, run_sweep
@@ -23,6 +31,13 @@ SMALL_GRID = {
     "p_r_levels": [0.0, 0.04],
     "gamma_levels": [10, 40],
     "max_ticks": 300,
+}
+
+# 9 cells: more than the 8 of one pool chunk, so `--jobs 2` starts a pool
+NINE_CELL_GRID = {
+    **SMALL_GRID,
+    "p_r_levels": [0.0, 0.02, 0.04],
+    "gamma_levels": [10, 20, 40],
 }
 
 SMALL_SIM = {
@@ -342,6 +357,18 @@ def test_seed_must_fit_uint64(tmp_path, capsys):
 # ---- sweep ----
 
 
+def test_sweep_keys_are_default_grid_s_parameters():
+    # a sweep config's keys and defaults are default_grid's, in JSON terms:
+    # tuples read as lists, patterns by value
+    params = inspect.signature(default_grid).parameters
+    assert set(_SWEEP_KEYS) == set(params)
+    for name, (default, _) in _SWEEP_KEYS.items():
+        expected = params[name].default
+        if isinstance(expected, tuple):
+            expected = [getattr(v, "value", v) for v in expected]
+        assert default == expected, name
+
+
 def test_sweep_restricted_grid(tmp_path, capsys):
     config = write_json(tmp_path / "grid.json", SMALL_GRID)
     out = tmp_path / "run"
@@ -404,7 +431,7 @@ def test_sweep_rejects_uncoverable_max_ticks_before_running(
 
 
 def test_sweep_jobs_do_not_change_bytes(tmp_path, capsys):
-    config = write_json(tmp_path / "grid.json", SMALL_GRID)
+    config = write_json(tmp_path / "grid.json", NINE_CELL_GRID)
     serial, parallel = tmp_path / "s", tmp_path / "p"
     run_cli(capsys, "sweep", config, "--seed", "11", "--out", str(serial))
     run_cli(capsys, "sweep", config, "--seed", "11", "--out", str(parallel),
@@ -469,11 +496,7 @@ def sweep_dir(tmp_path_factory):
     # shared small sweep so envelope tests do not re-simulate
     tmp_path = tmp_path_factory.mktemp("sweep")
     config = tmp_path / "grid.json"
-    config.write_text(json.dumps({
-        **SMALL_GRID,
-        "p_r_levels": [0.0, 0.02, 0.04],
-        "gamma_levels": [10, 20, 40],
-    }))
+    config.write_text(json.dumps(NINE_CELL_GRID))
     out = tmp_path / "run"
     code = main(["sweep", str(config), "--seed", "11", "--out", str(out)])
     assert code == EXIT_OK

@@ -13,7 +13,10 @@ from diffusim.engine import (
     SYNCHRONOUS,
     AdoptionTrajectory,
     DecisionParams,
+    _DECIDED,
     _DONE,
+    _adopt,
+    _random_sequential_pass,
     _thresholds_by_node,
     adoption_threshold,
     delta_utility,
@@ -510,6 +513,27 @@ class TestRandomSequentialMode:
                 net, plan, DecisionParams(delta_u=0.6), max_ticks=10,
                 update=RANDOM_SEQUENTIAL,
             )
+
+    @pytest.mark.parametrize("isolated", [False, True],
+                             ids=["rewired", "isolated_nodes"])
+    def test_pass_reads_need_and_returns_undecided_agents_once(self, isolated):
+        # the pass only decides; simulate writes its adopters through _adopt
+        spec = LatticeSpec(30, 30, Neighborhood.MOORE)
+        rng = np.random.default_rng(17)
+        if isolated:
+            net = with_isolated_nodes(spec, [0, 31, 450, 899])
+        else:
+            net = rewire(build_lattice(spec), 0.1, rng)
+        table = net.neighbor_table
+        assert (table == net.node_count).any()  # padded rows
+        need = _thresholds_by_node(net, DecisionParams(delta_u=0.6))
+        _adopt(table, rng.choice(net.node_count, 90, replace=False), need)
+        before = need.copy()
+        adopters = _random_sequential_pass(table, need, rng)
+        assert need.tobytes() == before.tobytes()
+        assert len(adopters) > 0
+        assert len(np.unique(adopters)) == len(adopters)
+        assert np.all(before[adopters] < _DECIDED)
 
 
 class TestRandomSequentialOracle:

@@ -171,10 +171,11 @@ class TestRunSweep:
         assert a[0].seed != a[1].seed
 
     def test_jobs_do_not_change_records_or_bytes(self, tmp_path):
+        # 12 cells: more than the 8 of one chunk, so jobs=2 starts a pool
         grid = [
             small_config(sigma=sigma, gamma=gamma, p_r=p_r, seed=0)
             for sigma in (Pattern.UNIFORM, Pattern.COMPACT)
-            for gamma in (5, 23)
+            for gamma in (5, 14, 23)
             for p_r in (0.0, 0.02)
         ]
         serial = run_sweep(grid, replications=2, master_seed=3, jobs=1)
@@ -187,11 +188,13 @@ class TestRunSweep:
         ).read_bytes()
 
     @pytest.mark.parametrize("cells,replications,jobs,workers", [
-        (12, 1, 500, 2), (12, 2, 2, 2), (17, 1, 2, 2), (1, 3, 4, 1),
+        (12, 1, 500, 2), (12, 2, 2, 2), (17, 1, 2, 2), (17, 1, 500, 3),
+        (1, 3, 4, None), (8, 2, 2, None), (12, 1, 1, None),
     ])
     def test_pool_has_no_worker_without_a_chunk(self, monkeypatch, cells,
                                                  replications, jobs, workers):
-        # a stand-in pool records what it is asked for and starts no process
+        # a stand-in pool records what it is asked for and starts no process;
+        # a sweep left with one worker (workers None) starts no pool at all
         asked = {}
 
         class FakePool:
@@ -213,7 +216,11 @@ class TestRunSweep:
                 for gamma in range(5, 5 + cells)]
         records = run_sweep(grid, replications=replications, master_seed=3, jobs=jobs)
         # chunks of 8 grid cells, as many workers as chunks at most
-        assert asked == {"max_workers": workers, "chunksize": 8 * replications}
+        if workers is None:
+            assert asked == {}
+        else:
+            assert asked == {"max_workers": workers,
+                             "chunksize": 8 * replications}
         assert records == run_sweep(grid, replications=replications, master_seed=3)
 
     def test_rejects_empty_grid(self):
