@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -47,11 +48,6 @@ from diffusim.network import (
 )
 from diffusim.seeding import Pattern
 from diffusim.sweep import (
-    DELTA_U_LEVELS,
-    GAMMA_LEVELS,
-    K_LEVELS,
-    REWIRE_LEVELS,
-    SIGMA_LEVELS,
     SimConfig,
     TooFewPoints,
     default_grid,
@@ -171,64 +167,60 @@ def _sigma(value, source: str) -> Pattern:
         raise ConfigError(f"{source} must be one of {names}, got {value!r}") from exc
 
 
-def _levels(caster):
-    """The caster of a non-empty list of `caster` values."""
-    def cast(value, source: str) -> list:
+# the caster of each type a config key's parameter declares; a Sequence[T]
+# is a non-empty JSON list of T
+_CASTERS = {"int": _integer, "float": _number, "Pattern": _sigma}
+
+
+def _cast(annotation: str, value, source: str):
+    if annotation.startswith("Sequence["):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{source} must be a non-empty list")
-        return [caster(item, source) for item in value]
-    return cast
+        item_type = annotation.removeprefix("Sequence[")[:-1]
+        return [_cast(item_type, item, source) for item in value]
+    return _CASTERS[annotation](value, source)
 
 
-# config key -> (default, caster). The cast values feed the model call and
-# are the manifest's parameters.
-_SIMULATE_KEYS = {
-    "rows": (200, _integer),
-    "cols": (200, _integer),
-    "k": (8, _integer),
-    "delta_u": (0.6, _number),
-    "alpha": (SimConfig.alpha, _number),
-    "sigma": (Pattern.UNIFORM.value, _sigma),
-    "p_r": (0.0, _number),
-    "gamma": (1000, _integer),
-    "innovator_fraction": (SimConfig.innovator_fraction, _number),
-    "max_ticks": (SimConfig.max_ticks, _integer),
-}
-
-# the keys are default_grid's parameters, with its defaults in JSON terms
-_SWEEP_KEYS = {
-    "rows": (200, _integer),
-    "cols": (200, _integer),
-    "alpha": (SimConfig.alpha, _number),
-    "max_ticks": (SimConfig.max_ticks, _integer),
-    "k_levels": (list(K_LEVELS), _levels(_integer)),
-    "delta_u_levels": (list(DELTA_U_LEVELS), _levels(_number)),
-    "sigma_levels": ([p.value for p in SIGMA_LEVELS], _levels(_sigma)),
-    "p_r_levels": (list(REWIRE_LEVELS), _levels(_number)),
-    "gamma_levels": (list(GAMMA_LEVELS), _levels(_integer)),
-}
-
-
-def _read_config(path: str, keys: dict) -> dict:
-    """Each of `keys` cast from the JSON config file, or its default when
-    the file omits it; a key not in `keys` is an error."""
+def _read_config(path: str, make) -> dict:
+    """make's keyword arguments from the JSON config file: each key is a
+    parameter of `make`, cast by the type it declares, and a parameter the
+    file omits takes its default. The values are the manifest's parameters."""
     config = _read("config file", lambda p: json.loads(Path(p).read_text()), path)
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(config) - set(keys))
+    params = inspect.signature(make).parameters
+    unknown = sorted(set(config) - set(params))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    return {key: caster(config.get(key, default), f"config key '{key}'")
-            for key, (default, caster) in keys.items()}
+    return {
+        name: _cast(param.annotation, config[name], f"config key '{name}'")
+        if name in config else param.default
+        for name, param in params.items()
+    }
 
 
-def _sim_config(rows: int, cols: int, k: int, **fields) -> SimConfig:
-    return SimConfig(lattice=LatticeSpec(rows, cols, Neighborhood.for_k(k)), **fields)
+def _sim_config(
+    rows: int = 200,
+    cols: int = 200,
+    k: int = 8,
+    delta_u: float = 0.6,
+    alpha: float = SimConfig.alpha,
+    sigma: Pattern = Pattern.UNIFORM,
+    p_r: float = 0.0,
+    gamma: int = 1000,
+    innovator_fraction: float = SimConfig.innovator_fraction,
+    max_ticks: int = SimConfig.max_ticks,
+) -> SimConfig:
+    """The run of `diffusim simulate`, at seed 0; the parameters, with their
+    defaults, are its config keys."""
+    return SimConfig(LatticeSpec(rows, cols, Neighborhood.for_k(k)), delta_u, sigma,
+                     p_r, gamma, alpha, innovator_fraction, max_ticks)
 
 
 def cmd_simulate(args) -> int:
-    values = _read_config(args.config, _SIMULATE_KEYS)
-    run = _checked(f"config {args.config}", _sim_config, seed=args.seed, **values)
+    values = _read_config(args.config, _sim_config)
+    config = _checked(f"config {args.config}", _sim_config, **values)
+    run = dataclasses.replace(config, seed=args.seed)  # main checked the seed
     traj = run.simulate()
     write_trajectory_csv(traj, args.out)
     _write_manifest(args, args.out, {"config_file": args.config, **values})
@@ -239,16 +231,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _read_config(args.config, _SWEEP_KEYS)
+    values = _read_config(args.config, default_grid)
     grid = _checked(f"config {args.config}", default_grid, **values)
+    # made before the runs, so that an --out that cannot be a directory
+    # fails before any work, not after all of it
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     records = run_sweep(
         grid, replications=args.replications, master_seed=args.seed,
         jobs=args.jobs,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
     write_sweep_csv(records, sweep_path)
     outputs = [str(sweep_path)]

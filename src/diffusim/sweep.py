@@ -37,6 +37,7 @@ from diffusim.seeding import (
     build_plan,
     default_innovator_count,
     last_activation_tick,
+    place_innovators,
 )
 
 DELTA_U_LEVELS = (0.6, 0.8)
@@ -62,15 +63,15 @@ class Location(Enum):
 @dataclass(frozen=True)
 class SimConfig:
     """One simulated micro-parameter combination, checked in full when
-    built; max_ticks must cover the seeding schedule, ceil(innovators /
-    gamma) ticks."""
+    built: max_ticks must cover the seeding schedule (ceil(innovators /
+    gamma) ticks), and the innovator placement must fit the lattice."""
 
     lattice: LatticeSpec
     delta_u: float
     sigma: Pattern
     p_r: float
     gamma: int
-    alpha: float = 0.5
+    alpha: float = DecisionParams.alpha
     innovator_fraction: float = 0.025
     max_ticks: int = 500
     seed: int = 0
@@ -95,6 +96,9 @@ class SimConfig:
                 f"schedule, which ends at tick {last_tick} ({count} "
                 f"innovators, gamma={self.gamma} per tick)"
             )
+        if self.sigma is not Pattern.UNIFORM:
+            # deterministic and cached, so the run's own placement is checked
+            place_innovators(self.lattice, self.sigma, count)
 
     @property
     def k(self) -> int:
@@ -173,12 +177,13 @@ def default_grid(
     sigma_levels: Sequence[Pattern] = SIGMA_LEVELS,
     p_r_levels: Sequence[float] = REWIRE_LEVELS,
     gamma_levels: Sequence[int] = GAMMA_LEVELS,
-    alpha: float = 0.5,
-    max_ticks: int = 500,
+    alpha: float = SimConfig.alpha,
+    max_ticks: int = SimConfig.max_ticks,
 ) -> list[SimConfig]:
     """The factorial experiment grid in reference-table row order: degree
     class, then utility difference, seeding pattern, rewiring probability,
-    and introduction rate innermost. Full defaults give 360 combinations."""
+    and introduction rate innermost. Full defaults give 360 combinations.
+    The parameters, with their defaults, are `diffusim sweep`'s config keys."""
     grid = []
     for k in k_levels:
         lattice = LatticeSpec(rows, cols, Neighborhood.for_k(k))

@@ -14,7 +14,7 @@ from diffusim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
-    _SWEEP_KEYS,
+    _sim_config,
     main,
     manifest_path,
 )
@@ -357,16 +357,35 @@ def test_seed_must_fit_uint64(tmp_path, capsys):
 # ---- sweep ----
 
 
-def test_sweep_keys_are_default_grid_s_parameters():
-    # a sweep config's keys and defaults are default_grid's, in JSON terms:
-    # tuples read as lists, patterns by value
-    params = inspect.signature(default_grid).parameters
-    assert set(_SWEEP_KEYS) == set(params)
-    for name, (default, _) in _SWEEP_KEYS.items():
-        expected = params[name].default
-        if isinstance(expected, tuple):
-            expected = [getattr(v, "value", v) for v in expected]
-        assert default == expected, name
+@pytest.mark.parametrize("make, keys", [
+    (_sim_config, [
+        ("rows", "int", "200"), ("cols", "int", "200"), ("k", "int", "8"),
+        ("delta_u", "float", "0.6"), ("alpha", "float", "0.5"),
+        ("sigma", "Pattern", '"uniform"'), ("p_r", "float", "0.0"),
+        ("gamma", "int", "1000"), ("innovator_fraction", "float", "0.025"),
+        ("max_ticks", "int", "500"),
+    ]),
+    (default_grid, [
+        ("rows", "int", "200"), ("cols", "int", "200"),
+        ("k_levels", "Sequence[int]", "[8, 4]"),
+        ("delta_u_levels", "Sequence[float]", "[0.6, 0.8]"),
+        ("sigma_levels", "Sequence[Pattern]",
+         '["compact", "intermediate", "uniform"]'),
+        ("p_r_levels", "Sequence[float]",
+         "[0.0, 0.0025, 0.005, 0.01, 0.02, 0.04]"),
+        ("gamma_levels", "Sequence[int]", "[125, 200, 250, 500, 1000]"),
+        ("alpha", "float", "0.5"), ("max_ticks", "int", "500"),
+    ]),
+], ids=["simulate", "sweep"])
+def test_config_format_is_the_builder_s_signature(make, keys):
+    # simulate's config keys are _sim_config's parameters, sweep's are
+    # default_grid's: a renamed parameter renames a user's key, a retyped
+    # one changes its caster, a new default changes every run that omits it
+    def as_json(default):
+        return json.dumps(default, default=lambda pattern: pattern.value)
+
+    assert [(name, param.annotation, as_json(param.default))
+            for name, param in inspect.signature(make).parameters.items()] == keys
 
 
 def test_sweep_restricted_grid(tmp_path, capsys):
@@ -428,6 +447,36 @@ def test_sweep_rejects_uncoverable_max_ticks_before_running(
     assert code == EXIT_CONFIG
     assert "max_ticks" in err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {**SMALL_SIM, "rows": 20, "cols": 20, "sigma": "intermediate",
+                  "innovator_fraction": 0.5, "gamma": 200}),
+    ("sweep", {**SMALL_GRID, "rows": 2, "cols": 400, "p_r_levels": [0.0],
+               "sigma_levels": ["compact", "intermediate"]}),
+])
+def test_innovator_placement_is_checked_before_running(
+        tmp_path, capsys, monkeypatch, command, config):
+    # the intermediate pattern's clusters overlap on these lattices
+    _no_runs(monkeypatch)
+    path = write_json(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, path, "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "overlap" in err
+    assert not out.exists()
+
+
+def test_sweep_out_that_is_a_file_fails_before_running(
+        tmp_path, capsys, monkeypatch):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "grid.json", SMALL_GRID)
+    out = tmp_path / "taken"
+    out.write_text("")
+    code, _, err = run_cli(capsys, "sweep", config, "--out", str(out))
+    assert code == EXIT_RUNTIME
+    assert str(out) in err
+    assert "a run started" not in err
 
 
 def test_sweep_jobs_do_not_change_bytes(tmp_path, capsys):

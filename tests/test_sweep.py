@@ -130,6 +130,15 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
+    def test_rejects_a_placement_that_does_not_fit_the_lattice(self):
+        # 200 innovators in five clusters of 40 overlap on a 20x20 lattice;
+        # without the check, the run's realize() would fail instead
+        crowded = dict(lattice=LatticeSpec(20, 20, Neighborhood.MOORE),
+                       innovator_fraction=0.5, gamma=200)
+        with pytest.raises(ValueError, match="overlap"):
+            small_config(sigma=Pattern.INTERMEDIATE, **crowded)
+        assert small_config(sigma=Pattern.COMPACT, **crowded).sigma is Pattern.COMPACT
+
     def test_numpy_integer_gamma_is_a_rate(self):
         assert small_config(gamma=np.int64(7)).gamma == 7
 
