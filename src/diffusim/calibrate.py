@@ -85,10 +85,8 @@ def _curve_and_jacobian(p: float, q: float, t: np.ndarray):
 def fit_window(traj: AdoptionTrajectory) -> np.ndarray:
     """Observed proportions from tick 0 through the first saturated tick
     (or the whole record when the run never saturated)."""
-    props = np.asarray(traj.proportions, dtype=float)
-    if traj.saturated_at is not None:
-        props = props[: traj.saturated_at + 1]
-    return props
+    end = None if traj.saturated_at is None else traj.saturated_at + 1
+    return traj.proportions[:end]
 
 
 def fit_bass(traj: AdoptionTrajectory) -> FitResult:

@@ -67,13 +67,16 @@ class DecisionParams:
 
 @dataclass(frozen=True)
 class AdoptionTrajectory:
-    """Cumulative adoption proportion per tick; index 0 is the pre-launch 0."""
+    """Cumulative adoption proportion per tick, kept as the read-only float64
+    copy that was checked; index 0 is the pre-launch 0."""
 
     proportions: np.ndarray
     population: int
 
     def __post_init__(self) -> None:
-        props = np.asarray(self.proportions, dtype=float)
+        props = np.array(self.proportions, dtype=np.float64)
+        props.setflags(write=False)
+        object.__setattr__(self, "proportions", props)
         if len(props) == 0 or not np.all((props >= 0.0) & (props <= 1.0)):
             raise ValueError("adoption proportions must be non-empty and in [0, 1]")
         if props[0] != 0.0:
@@ -86,12 +89,12 @@ class AdoptionTrajectory:
     def saturated_at(self) -> int | None:
         """The first tick at which every agent has adopted (the first
         proportion of 1), or None if the run stopped before full adoption."""
-        full = np.flatnonzero(np.asarray(self.proportions) == 1.0)
+        full = np.flatnonzero(self.proportions == 1.0)
         return int(full[0]) if len(full) else None
 
     @property
     def adopter_counts(self) -> np.ndarray:
-        return np.rint(np.asarray(self.proportions) * self.population).astype(np.int64)
+        return np.rint(self.proportions * self.population).astype(np.int64)
 
     @property
     def final_proportion(self) -> float:
@@ -296,9 +299,7 @@ def simulate(
             if zero_change_streak >= 2:
                 break
 
-    props = np.asarray(proportions)
-    props.setflags(write=False)
-    return AdoptionTrajectory(proportions=props, population=n)
+    return AdoptionTrajectory(proportions=proportions, population=n)
 
 
 def write_trajectory_csv(traj: AdoptionTrajectory, path) -> None:

@@ -104,23 +104,18 @@ class SocialNetwork:
     Raises:
         ValueError: edges not an (E, 2) integer array, an endpoint outside
             [0, node_count), a self-loop, or an edge listed twice (in
-            either orientation); rewire_prob not a real number in [0, 1].
+            either orientation).
 
     Attributes:
         node_count: number of agents.
         base_spec: lattice geometry the network was built from.
-        rewire_prob: probability used when this network was rewired (0 for a
-            pure lattice).
         neighbor_table: (node_count, max degree) int32 array (ELLPACK
             layout): row i holds node i's neighbors, sorted ascending, then
             node_count as padding.
         degrees: number of neighbors of each node.
     """
 
-    def __init__(self, edges: np.ndarray, base_spec: LatticeSpec, rewire_prob: float):
-        _check_real("rewire_prob", rewire_prob)
-        if not 0.0 <= rewire_prob <= 1.0:
-            raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
+    def __init__(self, edges: np.ndarray, base_spec: LatticeSpec):
         n = base_spec.node_count
         edges = np.asarray(edges)
         # a float array would be truncated, a bool one read as 0s and 1s
@@ -144,28 +139,26 @@ class SocialNetwork:
         degrees = np.bincount(edges.ravel(), minlength=n)
         table = np.full((n, degrees.max(initial=0)), n, dtype=np.int32)
         table[np.arange(table.shape[1]) < degrees[:, None]] = directed & _LOW_WORD
-        self._set(table, degrees, base_spec, rewire_prob)
+        self._set(table, degrees, base_spec)
 
     @classmethod
     def _from_table(
         cls, table: np.ndarray, degrees: np.ndarray, base_spec: LatticeSpec,
-        rewire_prob: float,
     ) -> SocialNetwork:
         """A network from a padded table that is valid by construction:
         symmetric, each row sorted, no self-loop or repeat, and exactly as
         wide as its largest degree. Nothing is checked."""
         net = cls.__new__(cls)
-        net._set(table, degrees, base_spec, rewire_prob)
+        net._set(table, degrees, base_spec)
         return net
 
-    def _set(self, table, degrees, base_spec, rewire_prob) -> None:
+    def _set(self, table, degrees, base_spec) -> None:
         table.setflags(write=False)
         degrees.setflags(write=False)
         self.neighbor_table = table
         self.degrees = degrees
         self.node_count = base_spec.node_count
         self.base_spec = base_spec
-        self.rewire_prob = float(rewire_prob)
 
     @property
     def edge_count(self) -> int:
@@ -228,7 +221,7 @@ def build_lattice(spec: LatticeSpec) -> SocialNetwork:
     table.sort(axis=1)
     degrees = np.count_nonzero(table < n, axis=1)
     table = np.ascontiguousarray(table[:, : degrees.max()])
-    return SocialNetwork._from_table(table, degrees, spec, 0.0)
+    return SocialNetwork._from_table(table, degrees, spec)
 
 
 def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNetwork:
@@ -263,33 +256,36 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     endpoints (u, v, w) change, and they are rebuilt apart, then written
     into a copy of the lattice's table sized to the new largest degree.
     The lattice's canonical `edges` give the selected edges' endpoints; they
-    are computed once and cached with the lattice, which is never written.
+    are read from the cached lattice, computed once, and it is never written.
     The few draws that land on a lattice pair look that pair up among the
     moved edges only, by key (see `_draw_targets`).
 
     Args:
-        net: a pure lattice (rewire_prob == 0); rewiring is applied once.
+        net: its spec's lattice (equal to `build_lattice(net.base_spec)`),
+            which the lattice-pair test of `_draw_targets` assumes; any other
+            network, a rewired one say, is a ValueError.
         p_r: rewiring probability in [0, 1].
         rng: random stream; a fixed seed yields a fixed network.
 
     Returns:
-        A new immutable network with rewire_prob = p_r.
+        A new immutable network.
     """
     _check_real("p_r", p_r)
     if not 0.0 <= p_r <= 1.0:
         raise ValueError(f"p_r must be in [0, 1], got {p_r}")
-    if net.rewire_prob != 0.0:
-        raise ValueError("network was already rewired; start from a pure lattice")
-    n = net.node_count
-    edges = net.edges
+    lattice = build_lattice(net.base_spec)
+    table, degrees = lattice.neighbor_table, lattice.degrees
+    if not (net is lattice or np.array_equal(net.neighbor_table, table)):
+        raise ValueError("rewire starts from a lattice, build_lattice(net.base_spec)")
+    n = lattice.node_count
+    edges = lattice.edges
     selected = np.empty(0, dtype=np.intp)
     if p_r > 0.0:
         selected = np.flatnonzero(rng.random(len(edges)) < p_r)
     u, v = edges[selected, 0], edges[selected, 1]
     w = _draw_targets(_edge_keys(u, v), u, net.base_spec, rng)
 
-    table = net.neighbor_table
-    degrees = net.degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
+    degrees = degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
     width = int(degrees.max(initial=0))
     old_width = table.shape[1]
     # the rows of the endpoints u, v, w are rebuilt in `block`: each removed
@@ -318,7 +314,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     kept = min(width, old_width)
     out[:, :kept] = table[:, :kept]
     out[rows] = block[:, :width]
-    return SocialNetwork._from_table(out, degrees, net.base_spec, p_r)
+    return SocialNetwork._from_table(out, degrees, lattice.base_spec)
 
 
 # draws are checked this many at a time, so that a rejection re-checks at

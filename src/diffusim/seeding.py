@@ -22,6 +22,8 @@ import numpy as np
 
 from diffusim.network import LatticeSpec, _check_integer, _check_real
 
+INNOVATOR_SHARE = 0.025  # the default innovator_fraction, SimConfig's too
+
 
 class Pattern(enum.Enum):
     COMPACT = "compact"
@@ -45,9 +47,10 @@ def last_activation_tick(count: int, gamma: int) -> int:
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
 
-    `positions`, a 1-D integer array, is in activation order: innovators
-    activate in blocks of `gamma` per tick, the block for tick t = 1, 2, ...
-    being positions[(t-1)*gamma : t*gamma]; the final block may be partial.
+    `positions`, a 1-D integer array kept as the read-only copy that was
+    checked, is in activation order: innovators activate in blocks of
+    `gamma` per tick, the block for tick t = 1, 2, ... being
+    positions[(t-1)*gamma : t*gamma]; the final block may be partial.
     """
 
     positions: np.ndarray
@@ -60,6 +63,9 @@ class SeedingPlan:
             raise ValueError(
                 f"positions must be a 1-D integer ndarray, got {positions!r}")
         _check_integer("gamma", self.gamma, 1)
+        positions = positions.copy()
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
         if _has_repeat(positions):
             raise ValueError("innovator positions must be distinct")
 
@@ -176,7 +182,9 @@ def build_plan(
     return schedule_innovators(positions, gamma, rng)
 
 
-def default_innovator_count(spec: LatticeSpec, fraction: float = 0.025) -> int:
+def default_innovator_count(
+    spec: LatticeSpec, fraction: float = INNOVATOR_SHARE,
+) -> int:
     """Round the innovator quota (default 2.5% of the population)."""
     _check_real("innovator_fraction", fraction)
     if not 0 < fraction <= 1:

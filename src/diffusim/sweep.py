@@ -32,6 +32,7 @@ from diffusim.network import (
     rewire,
 )
 from diffusim.seeding import (
+    INNOVATOR_SHARE,
     Pattern,
     SeedingPlan,
     build_plan,
@@ -72,7 +73,7 @@ class SimConfig:
     p_r: float
     gamma: int
     alpha: float = DecisionParams.alpha
-    innovator_fraction: float = 0.025
+    innovator_fraction: float = INNOVATOR_SHARE
     max_ticks: int = 500
     seed: int = 0
     replication: int = 0
@@ -286,14 +287,9 @@ def median_by_cell(
         groups.setdefault(cell_key(record), []).append(record)
     out = {}
     for key, group in groups.items():
-        out[key] = {
-            "p": float(np.median([r.p for r in group])),
-            "q": float(np.median([r.q for r in group])),
-            "r_squared": float(np.median([r.r_squared for r in group])),
-            "takeoff": float(np.median([r.takeoff for r in group])),
-            "saturation_tick": float(np.median([r.saturation_tick for r in group])),
-            "n": len(group),
-        }
+        out[key] = {name: float(np.median([getattr(r, name) for r in group]))
+                    for name in ("p", "q", "r_squared", "takeoff")}
+        out[key]["n"] = len(group)
     return out
 
 

@@ -130,7 +130,7 @@ def with_isolated_nodes(spec: LatticeSpec, isolated) -> SocialNetwork:
     """The lattice of `spec` with every edge at the `isolated` nodes removed."""
     edges = build_lattice(spec).edges
     keep = ~np.isin(edges, list(isolated)).any(axis=1)
-    return SocialNetwork(edges[keep], spec, 0.0)
+    return SocialNetwork(edges[keep], spec)
 
 
 def assert_ticks_follow_rule(net, plan, params, max_ticks) -> None:
@@ -261,6 +261,29 @@ class TestTrajectoryType:
         traj = AdoptionTrajectory(np.array([0.0, 0.25, 1.0]), population=8)
         assert traj.adopter_counts.tolist() == [0, 2, 8]
         assert traj.final_proportion == 1.0
+
+    def test_keeps_the_proportions_it_checked(self):
+        given = np.array([0, 0.5, 1])
+        traj = AdoptionTrajectory(given, population=2)
+        given[1] = 1.0  # the caller's array changes after the check
+        assert traj.proportions.tolist() == [0.0, 0.5, 1.0]
+        assert traj.saturated_at == 2
+        assert traj.proportions.dtype == np.float64
+        assert not traj.proportions.flags.writeable
+        listed = AdoptionTrajectory([0.0, 0.5], population=2).proportions
+        assert isinstance(listed, np.ndarray) and not listed.flags.writeable
+
+    @pytest.mark.parametrize("source", ["simulate", "csv"])
+    def test_every_source_gives_read_only_float64(self, source, tmp_path):
+        if source == "simulate":  # from a list of Python floats
+            net = build_lattice(LatticeSpec(20, 20, Neighborhood.MOORE))
+            traj = simulate(net, empty_plan(), DecisionParams(delta_u=1.2), max_ticks=5)
+        else:
+            path = tmp_path / "traj.csv"
+            path.write_text("tick,proportion\n0,0.0\n1,0.5\n")
+            traj = read_trajectory_csv(path)
+        assert traj.proportions.dtype == np.float64
+        assert not traj.proportions.flags.writeable
 
 
 class TestSimulateBasics:
@@ -468,7 +491,7 @@ class TestThresholdTable:
     def test_isolated_nodes(self, delta_u):
         # nodes 3, 4 and 5 have no edges; node 1 has degree 2
         net = SocialNetwork(
-            np.array([[0, 1], [1, 2]]), LatticeSpec(2, 3, Neighborhood.VON_NEUMANN), 0.0
+            np.array([[0, 1], [1, 2]]), LatticeSpec(2, 3, Neighborhood.VON_NEUMANN)
         )
         params = DecisionParams(delta_u=delta_u)
         self.assert_thresholds_by_degree(net, params)
@@ -611,7 +634,7 @@ class TestEveryNodeIsolated:
         # the tick-2 innovator adopt at tick 1) and 0.6 never does, so only
         # the innovators adopt
         spec = LatticeSpec(5, 4, Neighborhood.MOORE)
-        net = SocialNetwork(np.empty((0, 2), dtype=np.int64), spec, 0.0)
+        net = SocialNetwork(np.empty((0, 2), dtype=np.int64), spec)
         assert net.neighbor_table.shape == (20, 0)
         rng = np.random.default_rng(5)
         plan = schedule_innovators(np.array([3, 11, 17]), gamma=2, rng=rng)

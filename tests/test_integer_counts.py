@@ -17,7 +17,7 @@ from diffusim.engine import (
     AdoptionTrajectory, DecisionParams, adoption_threshold, simulate,
 )
 from diffusim.network import (
-    LatticeSpec, Neighborhood, SocialNetwork, build_lattice, network_stats, rewire,
+    LatticeSpec, Neighborhood, build_lattice, network_stats, rewire,
 )
 from diffusim.seeding import (
     Pattern, SeedingPlan, default_innovator_count, place_innovators,
@@ -91,8 +91,6 @@ def test_master_seed_above_its_bound_is_rejected_before_any_run(monkeypatch, val
 REALS = [
     ("SimConfig", "p_r", lambda v: sim_config(p_r=v)),
     ("rewire", "p_r", lambda v: rewire(build_lattice(LATTICE), v, np.random.default_rng(0))),
-    ("SocialNetwork", "rewire_prob",
-     lambda v: SocialNetwork(np.empty((0, 2), dtype=np.int64), LATTICE, v)),
     ("SimConfig", "innovator_fraction", lambda v: sim_config(innovator_fraction=v)),
     ("SimConfig", "delta_u", lambda v: sim_config(delta_u=v)),
     ("SimConfig", "alpha", lambda v: sim_config(alpha=v)),

@@ -46,7 +46,7 @@ def _rewire_scalar(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> 
                     break
             keys.add(key)
             edges[i, 0], edges[i, 1] = a, b
-    return SocialNetwork(edges, net.base_spec, rewire_prob=p_r)
+    return SocialNetwork(edges, net.base_spec)
 
 
 def assert_same_network(a: SocialNetwork, b: SocialNetwork) -> None:
@@ -137,7 +137,7 @@ def test_lattice_matches_geometric_oracle(rows, cols, neighborhood):
     # 2-row and 2-col lattices have a table narrower than k
     spec = LatticeSpec(rows, cols, neighborhood)
     edges = sorted(geometric_edge_set(rows, cols, neighborhood))
-    assert_same_network(build_lattice(spec), SocialNetwork(edges, spec, 0.0))
+    assert_same_network(build_lattice(spec), SocialNetwork(edges, spec))
 
 
 def test_symmetry_exhaustive_small():
@@ -182,13 +182,7 @@ SPEC_3x3 = LatticeSpec(3, 3, Neighborhood.VON_NEUMANN)
 )
 def test_constructor_rejects_malformed_edges(edges, match):
     with pytest.raises(ValueError, match=match):
-        SocialNetwork(np.array(edges), SPEC_3x3, 0.0)
-
-
-@pytest.mark.parametrize("rewire_prob", [-3.0, -1e-9, 1.5])
-def test_constructor_rejects_rewire_prob_outside_the_unit_interval(rewire_prob):
-    with pytest.raises(ValueError, match=r"^rewire_prob must be in \[0, 1\]"):
-        SocialNetwork(np.array([(0, 1)]), SPEC_3x3, rewire_prob)
+        SocialNetwork(np.array(edges), SPEC_3x3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,7 +198,7 @@ def test_constructor_matches_set_oracle(pairs, flip):
     spec = LatticeSpec(4, 5, Neighborhood.MOORE)
     listed = [(b, a) if flip.random() < 0.5 else (a, b) for a, b in pairs]
     flip.shuffle(listed)
-    net = SocialNetwork(np.array(listed, dtype=np.int64).reshape(-1, 2), spec, 0.0)
+    net = SocialNetwork(np.array(listed, dtype=np.int64).reshape(-1, 2), spec)
     assert net.edges.tolist() == sorted(map(list, pairs))
     for i in range(spec.node_count):
         expected = sorted({b for a, b in pairs if a == i} | {a for a, b in pairs if b == i})
@@ -221,7 +215,7 @@ def test_constructor_matches_set_oracle(pairs, flip):
 )
 def test_derived_edges_are_the_sorted_canonical_input(pairs):
     spec = LatticeSpec(6, 7, Neighborhood.VON_NEUMANN)
-    net = SocialNetwork(np.array(pairs, dtype=np.int64).reshape(-1, 2), spec, 0.0)
+    net = SocialNetwork(np.array(pairs, dtype=np.int64).reshape(-1, 2), spec)
     expected = sorted((min(a, b), max(a, b)) for a, b in pairs)
     assert net.edges.shape == (len(pairs), 2)
     assert list(map(tuple, net.edges.tolist())) == expected
@@ -235,7 +229,6 @@ def test_rewire_zero_is_identity():
     net = build_lattice(MOORE_200)
     out = rewire(net, 0.0, np.random.default_rng(3))
     assert np.array_equal(out.edges, net.edges)
-    assert out.rewire_prob == 0.0
 
 
 def test_rewire_full_preserves_edge_count():
@@ -342,7 +335,7 @@ def test_rewire_table_matches_the_validating_constructor(
 ):
     spec = LatticeSpec(rows, cols, neighborhood)
     out = rewire(build_lattice(spec), p_r, np.random.default_rng(seed))
-    assert_same_network(out, SocialNetwork(out.edges, spec, p_r))
+    assert_same_network(out, SocialNetwork(out.edges, spec))
 
 
 def test_rewire_can_recreate_a_removed_lattice_edge():
@@ -371,10 +364,51 @@ def test_rewire_never_writes_into_the_cached_lattice():
             # the rewired network owns its arrays
             assert not np.shares_memory(getattr(out, name), getattr(base, name)), name
     # the lattice still rewires to what a fresh copy of it does
-    fresh = SocialNetwork(np.array(before["edges"]), base.base_spec, 0.0)
+    fresh = SocialNetwork(np.array(before["edges"]), base.base_spec)
     a = rewire(base, 0.04, np.random.default_rng(99))
     b = rewire(fresh, 0.04, np.random.default_rng(99))
     assert_same_network(a, b)
+
+
+def test_rewire_refuses_the_lattice_plus_edges_it_once_duplicated():
+    # rewiring this at p_r 0.8, seed 1998, once gave the edge (0, 4) twice
+    edges = np.vstack((build_lattice(SPEC_3x3).edges, [(0, 8), (0, 4)]))
+    with pytest.raises(ValueError, match="^rewire starts from a lattice"):
+        rewire(SocialNetwork(edges, SPEC_3x3), 0.8, np.random.default_rng(1998))
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+@pytest.mark.parametrize("change", ["rewired", "minus an edge", "plus an edge"])
+def test_rewire_refuses_a_network_that_is_not_its_spec_s_lattice(change, neighborhood):
+    spec = LatticeSpec(4, 4, neighborhood)
+    lattice = build_lattice(spec)
+    if change == "rewired":
+        net = rewire(lattice, 0.5, np.random.default_rng(0))
+    elif change == "minus an edge":
+        net = SocialNetwork(lattice.edges[1:], spec)
+    else:  # opposite corners are no lattice pair
+        net = SocialNetwork(np.vstack((lattice.edges, [(0, 15)])), spec)
+    assert not np.array_equal(net.edges, lattice.edges)
+    with pytest.raises(ValueError, match="^rewire starts from a lattice"):
+        rewire(net, 0.5, np.random.default_rng(1))
+
+
+def test_rewire_accepts_its_own_p_r_zero_output():
+    base = build_lattice(SPEC_3x3)
+    same = rewire(base, 0.0, np.random.default_rng(0))
+    assert same is not base
+    assert_same_network(rewire(same, 0.8, np.random.default_rng(1998)),
+                        rewire(base, 0.8, np.random.default_rng(1998)))
+
+
+def test_rewire_reads_the_cached_lattice_s_edges():
+    # an equal copy is rewired from the cached lattice, so it never builds
+    # its own edge list
+    base = build_lattice(SPEC_3x3)
+    copy = SocialNetwork(base.edges, SPEC_3x3)
+    assert_same_network(rewire(copy, 0.5, np.random.default_rng(4)),
+                        rewire(base, 0.5, np.random.default_rng(4)))
+    assert "edges" not in vars(copy)
 
 
 def assert_neighbor_table(net: SocialNetwork, nodes: np.ndarray) -> None:
@@ -422,7 +456,7 @@ def test_neighbor_table_matches_neighbor_lists(
 def test_neighbor_table_with_isolated_empty_and_repeated_nodes():
     spec = LatticeSpec(4, 4, Neighborhood.MOORE)
     edges = build_lattice(spec).edges
-    net = SocialNetwork(edges[~np.isin(edges, [5, 10]).any(axis=1)], spec, 0.0)
+    net = SocialNetwork(edges[~np.isin(edges, [5, 10]).any(axis=1)], spec)
     assert net.degrees[[5, 10]].tolist() == [0, 0]
     for nodes in ([], [5], [5, 10], [0, 5, 0, 10, 15, 15], [10, 3, 3]):
         for dtype in (np.int32, np.int64):
@@ -554,7 +588,7 @@ def test_stats_disconnected_pairs_reported():
     spec = LatticeSpec(2, 4, Neighborhood.VON_NEUMANN)
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(a + 4, b + 4) for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
-    net = SocialNetwork(np.array(edges), spec, 0.0)
+    net = SocialNetwork(np.array(edges), spec)
     stats = network_stats(net, net.node_count)
     assert stats.unreached_pairs == 8 * 4  # each node misses the other component
     assert stats.mean_path_length == pytest.approx(1.0)

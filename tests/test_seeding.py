@@ -202,6 +202,17 @@ def test_plan_invariants_rejected():
     assert SeedingPlan(np.array([1, 2], dtype=np.uint16), 1).last_tick == 2
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+def test_plan_keeps_the_distinct_positions_it_checked(dtype):
+    given = np.array([1, 2, 3], dtype=dtype)
+    plan = SeedingPlan(given, 2)
+    given[0] = 2  # the caller's array changes after the check
+    assert plan.positions.tolist() == [1, 2, 3]
+    assert plan.positions.dtype == given.dtype
+    with pytest.raises(ValueError, match="read-only"):
+        plan.positions[0] = 2
+
+
 @pytest.mark.parametrize("positions", [
     [1, 2], np.array([1.0, 2.0]), np.array([[1, 2], [3, 4]]),
     np.array([True, False]), np.array(3),

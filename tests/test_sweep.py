@@ -289,6 +289,9 @@ class TestMedianAggregation:
         assert summary["p"] == pytest.approx(0.02)
         assert summary["q"] == pytest.approx(0.5)
         assert summary["n"] == 3
+        # the fitted quantities only: a median over the never-saturated
+        # sentinel would be a tick no run had
+        assert set(summary) == {"p", "q", "r_squared", "takeoff", "n"}
 
 
 class TestConvexHull:
