@@ -65,10 +65,10 @@ class DecisionParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdoptionTrajectory:
     """Cumulative adoption proportion per tick, kept as the read-only float64
-    copy that was checked; index 0 is the pre-launch 0."""
+    copy that was checked; index 0 is the pre-launch 0. Compared by identity."""
 
     proportions: np.ndarray
     population: int
@@ -288,7 +288,7 @@ def simulate(
             # innovators hold `_DONE` from the start; unseeded ones are not
             # adopted yet
             adopted = need[:n] >= _DECIDED
-            adopted[plan.positions[t * plan.gamma:]] = False
+            adopted[plan.unseeded_after(t)] = False
             adopted.setflags(write=False)
             on_tick(t, adopted)
 

@@ -1,11 +1,12 @@
 """2-D lattice social networks with optional small-world rewiring.
 
 Agents sit on a rows x cols grid (node index = row * cols + col) joined to
-their first-order neighbors: orthogonal only (von Neumann, interior degree 4)
-or orthogonal plus diagonal (Moore, interior degree 8). Boundaries are not
-periodic, so edge and corner nodes have fewer neighbors. Rewiring detaches a
-Bernoulli-selected subset of lattice edges at one endpoint and reattaches
-them to uniformly random nodes, preserving the total edge count.
+the first-order neighbors that `Neighborhood.offsets` steps to: orthogonal
+only (von Neumann, interior degree 4) or with the diagonals (Moore, 8).
+Boundaries are not periodic, so edge and corner nodes have fewer neighbors.
+Rewiring detaches a Bernoulli-selected subset of lattice edges at one
+endpoint and reattaches them to uniformly random nodes, preserving the
+total edge count.
 """
 
 from __future__ import annotations
@@ -23,9 +24,16 @@ class Neighborhood(enum.Enum):
     MOORE = "moore"
 
     @property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        """(row, col) steps to a node's neighbors, in ascending index offset:
+        all 8 around it (Moore) or the 4 orthogonal ones (von Neumann)."""
+        return tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                     if (dr or dc) and (self is Neighborhood.MOORE or not (dr and dc)))
+
+    @property
     def k(self) -> int:
-        """Interior degree: 4 for von Neumann, 8 for Moore."""
-        return 8 if self is Neighborhood.MOORE else 4
+        """Interior degree, the number of offsets: 4 or 8."""
+        return len(self.offsets)
 
     @classmethod
     def for_k(cls, k: int) -> Neighborhood:
@@ -38,7 +46,7 @@ class Neighborhood(enum.Enum):
         for neighborhood in cls:
             if neighborhood.k == k:
                 return neighborhood
-        raise ValueError(f"k must be 4 or 8, got {k}")
+        raise ValueError(f"k must be {' or '.join(str(n.k) for n in cls)}, got {k}")
 
 
 def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
@@ -199,21 +207,18 @@ def build_lattice(spec: LatticeSpec) -> SocialNetwork:
     """Regular (non-toroidal) lattice for the given geometry.
 
     The padded table is written straight from the grid; no edge list is
-    built. Column j holds each node's neighbor at the j-th neighborhood
-    offset, in ascending index offset, read from the row-major index grid
-    padded with node_count. Sorting each row then only moves the padding
-    to the right. A 2-row or 2-col lattice has no node of full degree, so
-    its table is trimmed to its largest degree.
+    built. Column j holds each node's neighbor at the j-th of
+    `spec.neighborhood.offsets`, read from the row-major index grid padded
+    with node_count; the offsets ascend by index, so sorting each row then
+    only moves the padding to the right. A 2-row or 2-col lattice has no
+    node of full degree, so its table is trimmed to its largest degree.
 
     Cached: lattices are immutable and shared freely across runs.
     """
     rows, cols, n = spec.rows, spec.cols, spec.node_count
     grid = np.full((rows + 2, cols + 2), n, dtype=np.int32)
     grid[1:-1, 1:-1] = np.arange(n, dtype=np.int32).reshape(rows, cols)
-    if spec.neighborhood is Neighborhood.MOORE:
-        offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
-    else:
-        offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    offsets = spec.neighborhood.offsets
     table = np.empty((rows, cols, len(offsets)), dtype=np.int32)
     for j, (dr, dc) in enumerate(offsets):
         table[:, :, j] = grid[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
@@ -257,13 +262,13 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     into a copy of the lattice's table sized to the new largest degree.
     The lattice's canonical `edges` give the selected edges' endpoints; they
     are read from the cached lattice, computed once, and it is never written.
-    The few draws that land on a lattice pair look that pair up among the
-    moved edges only, by key (see `_draw_targets`).
+    The few draws that land on a pair in the lattice's table look that pair
+    up among the moved edges only, by key (see `_draw_targets`).
 
     Args:
         net: its spec's lattice (equal to `build_lattice(net.base_spec)`),
-            which the lattice-pair test of `_draw_targets` assumes; any other
-            network, a rewired one say, is a ValueError.
+            whose pairs `_draw_targets` takes as present unless moved; any
+            other network, a rewired one say, is a ValueError.
         p_r: rewiring probability in [0, 1].
         rng: random stream; a fixed seed yields a fixed network.
 
@@ -283,7 +288,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     if p_r > 0.0:
         selected = np.flatnonzero(rng.random(len(edges)) < p_r)
     u, v = edges[selected, 0], edges[selected, 1]
-    w = _draw_targets(_edge_keys(u, v), u, net.base_spec, rng)
+    w = _draw_targets(_edge_keys(u, v), u, lattice, rng)
 
     degrees = degrees + np.bincount(w, minlength=n) - np.bincount(v, minlength=n)
     width = int(degrees.max(initial=0))
@@ -322,9 +327,8 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
 _DRAW_CHUNK = 2048
 
 
-def _draw_targets(
-    moved: np.ndarray, kept: np.ndarray, spec: LatticeSpec, rng: np.random.Generator,
-) -> np.ndarray:
+def _draw_targets(moved: np.ndarray, kept: np.ndarray, lattice: SocialNetwork,
+                  rng: np.random.Generator) -> np.ndarray:
     """New far endpoint of each selected edge, drawn as `rewire` documents.
 
     `moved` are the selected edges' int64 keys and `kept` their smaller
@@ -336,27 +340,25 @@ def _draw_targets(
     next value for the same edge.
 
     A draw w at turn i, for an edge kept at u, is rejected when (u, w) is
-    - a lattice pair still present. Nodes are row * cols + col on a lattice
-      that is not periodic, so (u, w) is a lattice pair when their row gap
-      and col gap are both at most 1 (Moore), or sum to at most 1 (von
-      Neumann). Only for these few draws is the pair's key looked up in
-      `moved`, with one search: the pair is absent exactly when it is found
-      there at a turn at or before i. At i itself the edge draws its own
-      far endpoint back, which is accepted. w == u passes the gap test too;
-      its key is never in `moved`, so it is always rejected.
+    - a lattice pair still present: w is in u's row of the `lattice`'s
+      `neighbor_table`, looked at only for draws within cols + 1 of u by
+      index, as nodes are row * cols + col. Only for these few draws, and
+      for w == u (whose key is never in `moved`, so it is always rejected),
+      is the pair's key looked up in `moved`, with one search: the pair is
+      absent exactly when it is found there at a turn at or before i. At i
+      itself the edge draws its own far endpoint back, which is accepted.
     - a new edge that an earlier turn accepted, or
     - the pair of an earlier draw in the same chunk.
     """
     m = len(moved)
-    cols = spec.cols
-    moore = spec.neighborhood is Neighborhood.MOORE
+    table, cols = lattice.neighbor_table, lattice.base_spec.cols
     targets = np.empty(m, dtype=np.int64)
     # sorted keys of the accepted new edges, then a sentinel above every
     # key, so that a search never lands past the end
     added = np.array([np.iinfo(np.int64).max])
     turn = 0
     while turn < m:
-        draws = rng.integers(spec.node_count, size=m - turn)
+        draws = rng.integers(lattice.node_count, size=m - turn)
         at = 0
         while at < len(draws):
             w = draws[at : at + _DRAW_CHUNK]
@@ -366,9 +368,8 @@ def _draw_targets(
             # a lattice pair is at most cols + 1 apart by index
             near = np.flatnonzero(np.abs(w - u) <= cols + 1)
             if len(near):
-                gap_r = np.abs(u[near] // cols - w[near] // cols)
-                gap_c = np.abs(u[near] % cols - w[near] % cols)
-                near = near[(gap_r <= 1) & (gap_c <= 1) if moore else gap_r + gap_c <= 1]
+                hit = table.take(u[near], axis=0) == w[near, None]
+                near = near[hit.any(axis=1) | (w[near] == u[near])]
                 key = cand[near]
                 gone = np.searchsorted(moved, key)  # its turn, if it is moved
                 absent = (gone <= turn + near) & (moved[np.minimum(gone, m - 1)] == key)

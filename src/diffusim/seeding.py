@@ -43,14 +43,15 @@ def last_activation_tick(count: int, gamma: int) -> int:
     return -(-count // gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
 
     `positions`, a 1-D integer array kept as the read-only copy that was
     checked, is in activation order: innovators activate in blocks of
     `gamma` per tick, the block for tick t = 1, 2, ... being
-    positions[(t-1)*gamma : t*gamma]; the final block may be partial.
+    positions[(t-1)*gamma : t*gamma]; the final block may be partial, and
+    only `seeds_at` and `unseeded_after` read this layout. Compared by identity.
     """
 
     positions: np.ndarray
@@ -77,6 +78,10 @@ class SeedingPlan:
     def seeds_at(self, tick: int) -> np.ndarray:
         """Innovators activating at `tick` (>= 1); empty after last_tick."""
         return self.positions[(tick - 1) * self.gamma : tick * self.gamma]
+
+    def unseeded_after(self, tick: int) -> np.ndarray:
+        """Innovators still to activate once `tick` (>= 0) is over."""
+        return self.positions[tick * self.gamma :]
 
 
 def _span(center: int, radius: int, size: int) -> int:

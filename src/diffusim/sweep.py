@@ -10,6 +10,7 @@ vertices in counter-clockwise order; points are classified against it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,6 +80,8 @@ class SimConfig:
     replication: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.lattice, LatticeSpec):
+            raise ValueError(f"lattice must be a LatticeSpec, got {self.lattice!r}")
         _check_real("p_r", self.p_r)
         if not 0.0 <= self.p_r <= 1.0:
             raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
@@ -185,21 +188,10 @@ def default_grid(
     class, then utility difference, seeding pattern, rewiring probability,
     and introduction rate innermost. Full defaults give 360 combinations.
     The parameters, with their defaults, are `diffusim sweep`'s config keys."""
-    grid = []
-    for k in k_levels:
-        lattice = LatticeSpec(rows, cols, Neighborhood.for_k(k))
-        for delta_u in delta_u_levels:
-            for sigma in sigma_levels:
-                for p_r in p_r_levels:
-                    for gamma in gamma_levels:
-                        grid.append(
-                            SimConfig(
-                                lattice=lattice, delta_u=delta_u, sigma=sigma,
-                                p_r=p_r, gamma=gamma, alpha=alpha,
-                                max_ticks=max_ticks,
-                            )
-                        )
-    return grid
+    lattices = [LatticeSpec(rows, cols, Neighborhood.for_k(k)) for k in k_levels]
+    return [SimConfig(*cell, alpha=alpha, max_ticks=max_ticks)
+            for cell in itertools.product(lattices, delta_u_levels, sigma_levels,
+                                          p_r_levels, gamma_levels)]
 
 
 def derive_run_seed(master_seed: int, config_index: int, replication: int) -> int:

@@ -273,6 +273,13 @@ class TestTrajectoryType:
         listed = AdoptionTrajectory([0.0, 0.5], population=2).proportions
         assert isinstance(listed, np.ndarray) and not listed.flags.writeable
 
+    def test_compares_and_hashes_by_identity(self):
+        traj = AdoptionTrajectory([0, .5, 1], 2)
+        twin = AdoptionTrajectory([0, .5, 1], 2)
+        assert traj == traj and traj != twin
+        assert hash(traj) == hash(traj)
+        assert len({traj, twin}) == 2
+
     @pytest.mark.parametrize("source", ["simulate", "csv"])
     def test_every_source_gives_read_only_float64(self, source, tmp_path):
         if source == "simulate":  # from a list of Python floats

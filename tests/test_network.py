@@ -98,8 +98,17 @@ def test_spec_rejects_degenerate_lattice():
 @pytest.mark.parametrize("k", [4, 8])
 def test_neighborhood_for_k_is_the_interior_degree(k):
     neighborhood = Neighborhood.for_k(k)
-    assert neighborhood.k == k
+    assert neighborhood.k == k == len(neighborhood.offsets)
     assert len(build_lattice(LatticeSpec(3, 3, neighborhood)).neighbors(4)) == k
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_offsets_ascend_by_index_and_step_to_the_neighbors(neighborhood):
+    # on a 5x5 lattice the centre (2, 2) = 12 has every offset in range
+    steps = [dr * 5 + dc for dr, dc in neighborhood.offsets]
+    assert steps == sorted(steps)
+    assert build_lattice(LatticeSpec(5, 5, neighborhood)).neighbors(12).tolist() == [
+        12 + step for step in steps]
 
 
 def test_neighborhood_for_k_rejects_other_degrees():

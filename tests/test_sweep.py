@@ -123,8 +123,8 @@ class TestSimConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("alpha", 1.5), ("delta_u", math.nan), ("delta_u", math.inf),
         ("innovator_fraction", 0.0), ("innovator_fraction", 1.5),
-        ("sigma", "uniform"), ("gamma", 2.5), ("gamma", np.float64(2.0)),
-        ("gamma", True),
+        ("sigma", "uniform"), ("lattice", "x"), ("gamma", 2.5),
+        ("gamma", np.float64(2.0)), ("gamma", True),
     ])
     def test_rejection_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
