@@ -6,13 +6,7 @@ the resulting adoption trajectories with the two-coefficient diffusion curve
 and mapping micro parameters into (p, q) space.
 """
 
-from diffusim.bass import (
-    BassParams,
-    bass_curve,
-    bass_ode_solve,
-    takeoff_is_degenerate,
-    takeoff_time,
-)
+from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import (
     DegenerateTrajectory,
     FitResult,
@@ -82,7 +76,6 @@ __all__ = [
     "TooFewPoints",
     "adoption_threshold",
     "bass_curve",
-    "bass_ode_solve",
     "build_lattice",
     "build_plan",
     "default_grid",
@@ -102,7 +95,6 @@ __all__ = [
     "run_sweep",
     "schedule_innovators",
     "simulate",
-    "takeoff_is_degenerate",
     "takeoff_time",
     "write_sweep_csv",
     "write_trajectory_csv",

@@ -5,8 +5,7 @@ The cumulative adoption proportion n(t) solves
     dn/dt = (p + q*n) * (1 - n),   n(0) = 0,
 
 where p drives spontaneous (external-influence) adoption and q drives
-imitation. The closed form, the Runge-Kutta integrator used as its
-independent check, and the takeoff time live here.
+imitation. The closed form and the takeoff time live here.
 """
 
 from __future__ import annotations
@@ -77,48 +76,6 @@ def bass_curve(params: BassParams, t):
     return n
 
 
-def bass_ode_solve(params: BassParams, t_end: float, dt: float):
-    """Integrate dn/dt = (p + q n)(1 - n) from n(0)=0 by classic RK4.
-
-    Serves as the independent numerical check on bass_curve; the two must
-    agree to well below 1e-8 for any sensible step size.
-
-    Args:
-        params: coefficient pair.
-        t_end: final time, > 0.
-        dt: step size, > 0. A shorter final step lands exactly on t_end.
-
-    Returns:
-        (times, values) as float ndarrays, including t=0 and t=t_end.
-    """
-    if not (math.isfinite(t_end) and math.isfinite(dt)):
-        raise ValueError("t_end and dt must be finite")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-
-    p, q = params.p, params.q
-    times = [0.0]
-    values = [0.0]
-    n = 0.0
-    t = 0.0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        k1 = (p + q * n) * (1.0 - n)
-        n2 = n + 0.5 * h * k1
-        k2 = (p + q * n2) * (1.0 - n2)
-        n3 = n + 0.5 * h * k2
-        k3 = (p + q * n3) * (1.0 - n3)
-        n4 = n + h * k3
-        k4 = (p + q * n4) * (1.0 - n4)
-        n += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        times.append(t)
-        values.append(n)
-    return np.asarray(times), np.asarray(values)
-
-
 def takeoff_time(params: BassParams) -> float:
     """Time at which adoption transitions from introduction to growth.
 
@@ -126,17 +83,16 @@ def takeoff_time(params: BassParams) -> float:
 
         t_TO = ln(q / (p * (2 + sqrt(3)))) / (p + q)
 
-    The result is negative when q <= p*(2+sqrt(3)) (growth is effectively
-    immediate); callers can detect that regime via takeoff_is_degenerate.
-    The value is returned as-is, never clamped.
+    The result is non-positive exactly when q <= p*(2+sqrt(3)) (growth is
+    effectively immediate), save for p + q above about 9e307, where a
+    positive result can underflow to 0.0. It is returned as-is, never
+    clamped.
     """
-    if params.q <= 0:
-        raise ValueError(f"takeoff time requires q > 0, got q={params.q}")
-    return math.log(params.q / (params.p * _TAKEOFF_CONST)) / (params.p + params.q)
-
-
-def takeoff_is_degenerate(params: BassParams) -> bool:
-    """True when the takeoff time is non-positive (q <= p*(2+sqrt(3)))."""
-    if params.q <= 0:
-        raise ValueError(f"takeoff time requires q > 0, got q={params.q}")
-    return params.q <= params.p * _TAKEOFF_CONST
+    p, q = params.p, params.q
+    if q <= 0:
+        raise ValueError(f"takeoff time requires q > 0, got q={q}")
+    ratio = q / (p * _TAKEOFF_CONST)
+    # a subnormal q next to p underflows the ratio to 0.0: take logs apart
+    log_ratio = math.log(ratio) if ratio > 0 else (
+        math.log(q) - math.log(p) - math.log(_TAKEOFF_CONST))
+    return log_ratio / (p + q)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffusim.bass import BassParams, _curve, bass_curve
+from diffusim.bass import BassParams, _curve
 from diffusim.engine import AdoptionTrajectory
 
 P_MIN, P_MAX = 1e-6, 1.0
@@ -170,24 +170,3 @@ def fit_bass(traj: AdoptionTrajectory) -> FitResult:
         p_at_bound=(p <= P_MIN or p >= P_MAX),
         q_at_bound=(q <= Q_MIN or q >= Q_MAX),
     )
-
-
-def jacobian_check(params: BassParams, t: float) -> tuple[float, float]:
-    """Analytic-minus-central-difference discrepancy of (dn/dp, dn/dq).
-
-    Central differences use step 1e-6 on each coefficient; both entries
-    should be far below 1e-6 anywhere in the fitted range.
-    """
-    h = 1e-6
-    t_arr = np.asarray([float(t)])
-    _, dn_dp, dn_dq = _curve_and_jacobian(params.p, params.q, t_arr)
-    fd_p = (
-        bass_curve(BassParams(params.p + h, params.q), t)
-        - bass_curve(BassParams(params.p - h, params.q), t)
-    ) / (2 * h)
-    fd_q = (
-        bass_curve(BassParams(params.p, params.q + h), t)
-        - bass_curve(BassParams(params.p, params.q - h), t)
-    ) / (2 * h)
-    return float(dn_dp[0] - fd_p), float(dn_dq[0] - fd_q)
-

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 import diffusim
-from diffusim.bass import BassParams, bass_curve, takeoff_is_degenerate, takeoff_time
+from diffusim.bass import BassParams, bass_curve, takeoff_time
 from diffusim.calibrate import DegenerateTrajectory, fit_bass
 from diffusim.engine import _write_csv, read_trajectory_csv, write_trajectory_csv
 from diffusim.network import (
@@ -298,8 +298,9 @@ def cmd_bass(args) -> int:
 
 def cmd_takeoff(args) -> int:
     params = _checked("arguments p, q", BassParams, args.p, args.q)
-    _out(repr(_checked("argument q", takeoff_time, params)))
-    if takeoff_is_degenerate(params):
+    t_to = _checked("argument q", takeoff_time, params)
+    _out(repr(t_to))
+    if t_to <= 0:
         print("degenerate: takeoff precedes launch (q <= p(2+sqrt(3)))",
               file=sys.stderr)
     return EXIT_OK

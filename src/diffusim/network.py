@@ -413,10 +413,11 @@ def network_stats(
     n = net.node_count
     mean_degree = 2.0 * net.edge_count / n
 
-    # the CSR form of the table: its entries without the padding, row by row
+    # the CSR form of the table: its entries without the padding, row by row;
+    # int32, since A @ A counts common neighbours, past int8's 127 on dense graphs
     table = net.neighbor_table
     adj = csr_matrix(
-        (np.ones(2 * net.edge_count, dtype=np.int8), table[table < n],
+        (np.ones(2 * net.edge_count, dtype=np.int32), table[table < n],
          np.concatenate(([0], np.cumsum(net.degrees)))),
         shape=(n, n),
     )

@@ -21,10 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.differentiate import derivative
+from scipy.integrate import solve_ivp
 from scipy.stats import spearmanr
 
-from diffusim.bass import BassParams, bass_curve, bass_ode_solve, takeoff_time
-from diffusim.calibrate import fit_bass, jacobian_check
+from diffusim.bass import BassParams, _curve, bass_curve, takeoff_time
+from diffusim.calibrate import _curve_and_jacobian, fit_bass
 from diffusim.engine import (
     RANDOM_SEQUENTIAL,
     SYNCHRONOUS,
@@ -140,21 +142,28 @@ def test_takeoff_matches_reference_table(takeoff_census):
 
 
 def test_closed_form_matches_rk4_integration():
-    """Sup-norm gap between the closed form and RK4 < 1e-8, t in [0, 50]."""
+    """Sup-norm gap between the closed form and a Runge-Kutta (scipy's
+    DOP853) integration of its ODE < 1e-8, t in [0, 50]."""
+    times = np.linspace(0.0, 50.0, 5001)
     worst = 0.0
     for p in np.logspace(-3, math.log10(0.2), 10):
         for q in np.linspace(0.0, 1.0, 10):
             params = BassParams(float(p), float(q))
-            times, values = bass_ode_solve(params, 50.0, 0.01)
-            gap = float(np.max(np.abs(values - bass_curve(params, times))))
+            sol = solve_ivp(lambda _, n: (p + q * n) * (1.0 - n),
+                            (0.0, 50.0), [0.0], method="DOP853",
+                            rtol=1e-12, atol=1e-14, t_eval=times)
+            assert sol.success, sol.message
+            gap = float(np.max(np.abs(sol.y[0] - bass_curve(params, times))))
             worst = max(worst, gap)
-    print(f"\nclosed-form vs RK4 sup-norm, worst of 100 pairs: {worst:.3e}")
+    print(f"\nclosed-form vs DOP853 sup-norm, worst of 100 pairs: {worst:.3e}")
     assert worst < 1e-8
 
 
 def test_fitter_recovers_noiseless_curves():
     """5x5 exact-curve grid: recovery < 1e-5 rel, r2 > 1 - 1e-10; analytic
-    Jacobian within 1e-6 of central differences on the same grid."""
+    Jacobian within 1e-6 of scipy's adaptive central differences on the
+    same grid (first step a quarter of the coefficient, so p stays > 0)."""
+    t = np.array([1.0, 5.0, 10.0, 20.0])
     for p in np.linspace(0.005, 0.15, 5):
         for q in np.linspace(0.3, 1.0, 5):
             true = BassParams(float(p), float(q))
@@ -164,9 +173,14 @@ def test_fitter_recovers_noiseless_curves():
             assert abs(res.params.p - true.p) / true.p < 1e-5, (p, q)
             assert abs(res.params.q - true.q) / true.q < 1e-5, (p, q)
             assert res.r_squared > 1 - 1e-10, (p, q)
-            for t in (1.0, 5.0, 10.0, 20.0):
-                dp, dq = jacobian_check(true, t)
-                assert abs(dp) < 1e-6 and abs(dq) < 1e-6, (p, q, t)
+            _, dn_dp, dn_dq = _curve_and_jacobian(true.p, true.q, t)
+            num_p = derivative(lambda x, t: _curve(x, true.q, t)[0], np.full_like(t, p),
+                               args=(t,), tolerances={"atol": 1e-12}, initial_step=p / 4)
+            num_q = derivative(lambda x, t: _curve(true.p, x, t)[0], np.full_like(t, q),
+                               args=(t,), tolerances={"atol": 1e-12}, initial_step=q / 4)
+            assert num_p.success.all() and num_q.success.all(), (p, q)
+            assert np.max(np.abs(dn_dp - num_p.df)) < 1e-6, (p, q)
+            assert np.max(np.abs(dn_dq - num_q.df)) < 1e-6, (p, q)
 
 
 def test_adoption_thresholds_match_derivation():

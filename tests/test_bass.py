@@ -1,4 +1,4 @@
-"""Tests for the closed-form adoption curve, RK4 oracle, and takeoff time."""
+"""Tests for the closed-form adoption curve and the takeoff time."""
 
 from __future__ import annotations
 
@@ -6,19 +6,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from diffusim.bass import (
-    BassParams,
-    bass_curve,
-    bass_ode_solve,
-    takeoff_is_degenerate,
-    takeoff_time,
-)
+from diffusim.bass import BassParams, bass_curve, takeoff_time
 
 ROW1 = BassParams(0.0072863, 0.3187899)  # reference grid, first row
 
 
 # --- independent oracles -------------------------------------------------
+
+def _ode_solution(params: BassParams, t: np.ndarray) -> np.ndarray:
+    """n at times t of dn/dt = (p + q n)(1 - n), n(0) = 0, integrated by
+    scipy's DOP853 at tolerances far below the closed form's test bounds."""
+    p, q = params.p, params.q
+    sol = solve_ivp(lambda _, n: (p + q * n) * (1.0 - n), (0.0, t[-1]), [0.0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t)
+    assert sol.success, sol.message
+    return sol.y[0]
+
 
 def _curve_unrestricted(p: float, q: float, t: float) -> float:
     # same closed form, but defined for negative t as well (needed to probe
@@ -89,7 +96,7 @@ def test_curve_approaches_one():
 
 
 def test_curve_value_at_first_row_takeoff():
-    # frozen from the RK4 oracle (step 1e-3): n(7.549109) = 0.19329988...
+    # frozen from an RK4 solve of the ODE (step 1e-3): n(7.549109) = 0.19329988...
     val = bass_curve(ROW1, 7.549109)
     assert abs(val - 0.1933) < 5e-5
     assert abs(val - 0.1932998831) < 1e-8
@@ -120,51 +127,35 @@ def test_curve_strictly_increasing_and_bounded():
         assert bass_curve(params, 1e6) <= 1.0
 
 
-# --- bass_ode_solve vs closed form ---------------------------------------
+# --- the ODE's numerical solution vs closed form --------------------------
 
 def test_ode_matches_closed_form_spot():
     params = BassParams(0.02, 0.4)
-    times, values = bass_ode_solve(params, 30.0, 1e-3)
-    assert times[0] == 0.0 and values[0] == 0.0
-    assert abs(times[-1] - 30.0) < 1e-9
+    times = np.linspace(0.0, 30.0, 30001)
+    values = _ode_solution(params, times)
     assert np.max(np.abs(values - bass_curve(params, times))) < 1e-8
 
 
 def test_ode_matches_closed_form_at_first_row():
-    times, values = bass_ode_solve(ROW1, 10.0, 1e-3)
-    i = int(np.argmin(np.abs(times - 7.549109)))
-    assert abs(values[i] - 0.1933) < 5e-5
+    (value,) = _ode_solution(ROW1, np.array([7.549109]))
+    assert abs(value - 0.1933) < 5e-5
 
 
 def test_ode_pure_innovation_limit():
     p = 0.05
-    times, values = bass_ode_solve(BassParams(p, 0.0), 10.0, 1e-3)
-    for t_chk in (1.0, 5.0, 10.0):
-        i = int(np.argmin(np.abs(times - t_chk)))
-        assert abs(values[i] - (1.0 - math.exp(-p * t_chk))) < 1e-10
+    times = np.array([1.0, 5.0, 10.0])
+    values = _ode_solution(BassParams(p, 0.0), times)
+    assert np.max(np.abs(values - (1.0 - np.exp(-p * times)))) < 1e-10
 
 
 def test_ode_sup_norm_over_fitted_range():
     # coarse version of the acceptance grid, kept quick
+    times = np.linspace(0.0, 50.0, 25001)
     for p in (1e-4, 0.01, 0.2):
         for q in (0.3, 0.65, 1.0):
             params = BassParams(p, q)
-            times, values = bass_ode_solve(params, 50.0, 2e-3)
-            sup = np.max(np.abs(values - bass_curve(params, times)))
+            sup = np.max(np.abs(_ode_solution(params, times) - bass_curve(params, times)))
             assert sup < 1e-8, (p, q, sup)
-
-
-def test_ode_validation():
-    with pytest.raises(ValueError):
-        bass_ode_solve(BassParams(0.02, 0.4), 30.0, 0.0)
-    with pytest.raises(ValueError):
-        bass_ode_solve(BassParams(0.02, 0.4), -1.0, 1e-3)
-
-
-def test_ode_partial_final_step_lands_on_t_end():
-    times, _ = bass_ode_solve(BassParams(0.02, 0.4), 1.05, 0.1)
-    assert abs(times[-1] - 1.05) < 1e-12
-    assert np.all(np.diff(times) > 0)
 
 
 # --- takeoff_time ----------------------------------------------------------
@@ -182,10 +173,25 @@ def test_takeoff_negative_returned_unclamped():
     params = BassParams(0.1, 0.1)
     t_to = takeoff_time(params)
     assert abs(t_to - (-6.585)) < 5e-3
-    assert takeoff_is_degenerate(params)
-    assert not takeoff_is_degenerate(ROW1)
     # the finite-difference root agrees even for the pre-launch root
     assert abs(t_to - _third_derivative_root(0.1, 0.1)) < 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1e-6, 1.0), data=st.data())
+def test_takeoff_non_positive_exactly_when_q_at_most_p_times_constant(p, data):
+    # the CLI reads the degenerate regime q <= p(2+sqrt(3)) off this sign;
+    # probe it at the bound, one ulp either side of it, and across (0, 1]
+    bound = p * (2.0 + math.sqrt(3.0))
+    near = [float(np.nextafter(bound, 0.0)), bound, float(np.nextafter(bound, np.inf))]
+    q = data.draw(st.sampled_from(near) | st.floats(0.0, 1.0, exclude_min=True))
+    assert (takeoff_time(BassParams(p, q)) <= 0) == (q <= bound), (p, q)
+
+
+def test_takeoff_when_the_ratio_underflows():
+    # q / (p(2+sqrt(3))) underflows to 0.0 here; the takeoff is still finite
+    t_to = takeoff_time(BassParams(1.0, 5e-324))
+    assert t_to == pytest.approx(math.log(5e-324) - math.log(2.0 + math.sqrt(3.0)), rel=1e-12)
 
 
 def test_takeoff_rejects_zero_q():

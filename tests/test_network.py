@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -516,6 +517,15 @@ def test_stats_3x3_von_neumann_mean_degree():
 def test_stats_complete_graph():
     # the 2x2 Moore lattice is K4
     stats = network_stats(build_lattice(LatticeSpec(2, 2, Neighborhood.MOORE)), 4)
+    assert stats.clustering_coefficient == pytest.approx(1.0)
+    assert stats.mean_path_length == pytest.approx(1.0)
+
+
+def test_stats_clustering_on_a_dense_complete_graph():
+    # K_130: every pair of nodes shares 128 neighbours, more than int8 holds
+    spec = LatticeSpec(10, 13, Neighborhood.MOORE)
+    edges = np.array(list(itertools.combinations(range(spec.node_count), 2)))
+    stats = network_stats(SocialNetwork(edges, spec), spec.node_count)
     assert stats.clustering_coefficient == pytest.approx(1.0)
     assert stats.mean_path_length == pytest.approx(1.0)
 
