@@ -37,7 +37,6 @@ from diffusim.seeding import (
     build_plan,
     default_innovator_count,
     place_innovators,
-    schedule_innovators,
 )
 from diffusim.sweep import (
     Location,
@@ -93,7 +92,6 @@ __all__ = [
     "roi_check",
     "run_once",
     "run_sweep",
-    "schedule_innovators",
     "simulate",
     "takeoff_time",
     "write_sweep_csv",

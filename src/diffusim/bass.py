@@ -84,9 +84,9 @@ def takeoff_time(params: BassParams) -> float:
         t_TO = ln(q / (p * (2 + sqrt(3)))) / (p + q)
 
     The result is non-positive exactly when q <= p*(2+sqrt(3)) (growth is
-    effectively immediate), save for p + q above about 9e307, where a
-    positive result can underflow to 0.0. It is returned as-is, never
-    clamped.
+    effectively immediate). It is returned as-is, never clamped. Where p + q
+    overflows, or the quotient underflows to 0, its sign would be wrong, so
+    those p and q raise ValueError.
     """
     p, q = params.p, params.q
     if q <= 0:
@@ -95,4 +95,7 @@ def takeoff_time(params: BassParams) -> float:
     # a subnormal q next to p underflows the ratio to 0.0: take logs apart
     log_ratio = math.log(ratio) if ratio > 0 else (
         math.log(q) - math.log(p) - math.log(_TAKEOFF_CONST))
-    return log_ratio / (p + q)
+    t_to = log_ratio / (p + q)
+    if math.isinf(p + q) or t_to == 0 != log_ratio:
+        raise ValueError(f"takeoff time at p={p}, q={q} is out of float range")
+    return t_to

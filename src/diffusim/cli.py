@@ -298,7 +298,7 @@ def cmd_bass(args) -> int:
 
 def cmd_takeoff(args) -> int:
     params = _checked("arguments p, q", BassParams, args.p, args.q)
-    t_to = _checked("argument q", takeoff_time, params)
+    t_to = _checked("arguments p, q", takeoff_time, params)
     _out(repr(t_to))
     if t_to <= 0:
         print("degenerate: takeoff precedes launch (q <= p(2+sqrt(3)))",

@@ -85,7 +85,8 @@ class LatticeSpec:
         _check_integer("rows", self.rows, 2)
         _check_integer("cols", self.cols, 2)
         if not isinstance(self.neighborhood, Neighborhood):
-            raise ValueError(f"invalid neighborhood: {self.neighborhood!r}")
+            raise ValueError(
+                f"neighborhood must be a Neighborhood, got {self.neighborhood!r}")
 
     @property
     def node_count(self) -> int:

@@ -5,10 +5,8 @@ placed on the lattice in one of three spatial dispersion patterns, then
 activated in blocks of gamma per tick, in randomly permuted order.
 
 Compact and intermediate placement are deterministic, and a sweep places
-the same few clusters in every run, so each cluster's cells are cached per
-(lattice, center, size): a few thousand int32 cells in all, sorted from the
-smallest square around the center that holds them, never from the whole
-lattice.
+the same few clusters in every run, so each (lattice, pattern, count)
+placement is computed and checked once per process and cached read-only.
 """
 
 from __future__ import annotations
@@ -84,33 +82,30 @@ class SeedingPlan:
         return self.positions[tick * self.gamma :]
 
 
-def _span(center: int, radius: int, size: int) -> int:
-    """Cells of [center - radius, center + radius] that lie in [0, size)."""
-    return min(center + radius, size - 1) - max(center - radius, 0) + 1
-
-
 @lru_cache(maxsize=32)
-def _nearest_cells(
-    spec: LatticeSpec, center_r: int, center_c: int, count: int
-) -> np.ndarray:
-    """The `count` cells nearest (center_r, center_c) by Chebyshev distance,
-    ties row-major, nearest first (int32, read-only).
+def _clustered(spec: LatticeSpec, pattern: Pattern, count: int) -> np.ndarray:
+    """Compact or intermediate cells for `count` innovators (int32, read-only).
 
-    Only the smallest square around the center, clipped to the lattice,
-    that holds `count` cells is sorted: those are exactly the cells within
-    its radius, so the nearest `count` lie inside it.
+    Each cluster is the first `size` cells of one stable sort of the whole
+    lattice by Chebyshev distance to its center, so ties fall row-major.
     """
     rows, cols = spec.rows, spec.cols
-    radius = 0
-    while _span(center_r, radius, rows) * _span(center_c, radius, cols) < count:
-        radius += 1
-    r = np.arange(max(center_r - radius, 0), min(center_r + radius + 1, rows),
-                  dtype=np.int32)[:, None]
-    c = np.arange(max(center_c - radius, 0), min(center_c + radius + 1, cols),
-                  dtype=np.int32)[None, :]
-    dist = np.maximum(np.abs(r - center_r), np.abs(c - center_c)).ravel()
-    square = (r * cols + c).ravel()  # row-major, as the ties are broken
-    cells = square[np.argsort(dist, kind="stable")[:count]].astype(np.int32, copy=False)
+    centers = [(rows // 2, cols // 2)]
+    sizes = [count]
+    if pattern is Pattern.INTERMEDIATE:
+        # then the four quadrant centers, row-major
+        centers += [(a * rows // 4, b * cols // 4) for a in (1, 3) for b in (1, 3)]
+        sizes = [count // 5 + count % 5] + [count // 5] * 4
+    r, c = np.indices((rows, cols), dtype=np.int32, sparse=True)
+    cells = np.concatenate([
+        np.argsort(np.maximum(np.abs(r - cr), np.abs(c - cc)), axis=None,
+                   kind="stable")[:size]
+        for (cr, cc), size in zip(centers, sizes)
+    ]).astype(np.int32)
+    if _has_repeat(cells):
+        raise ValueError(
+            "intermediate clusters overlap; lattice too small to separate them"
+        )
     cells.setflags(write=False)
     return cells
 
@@ -127,8 +122,9 @@ def place_innovators(
     distance (ties row-major), ordered nearest-first. Intermediate: five
     equal sub-clusters built the same way around the lattice center and the
     four quadrant centers, remainder cells going to the central cluster.
-    Uniform: distinct cells sampled uniformly without replacement, in draw
-    order (requires rng).
+    Both are cached per (spec, pattern, count) and returned as the same
+    read-only array on every call. Uniform: distinct cells sampled
+    uniformly without replacement, in draw order (requires rng).
 
     Raises:
         ValueError: count out of range, missing rng for Uniform, or
@@ -143,36 +139,9 @@ def place_innovators(
             raise ValueError("uniform placement requires an rng")
         return rng.choice(n, size=count, replace=False).astype(np.int32)
 
-    rows, cols = spec.rows, spec.cols
-    centers = [(rows // 2, cols // 2)]
-    sizes = [count]
-    if pattern is Pattern.INTERMEDIATE:
-        # then the four quadrant centers, row-major
-        centers += [(a * rows // 4, b * cols // 4) for a in (1, 3) for b in (1, 3)]
-        sizes = [count // 5 + count % 5] + [count // 5] * 4
-    elif pattern is not Pattern.COMPACT:
+    if not isinstance(pattern, Pattern):
         raise ValueError(f"unknown pattern: {pattern!r}")
-    cells = np.concatenate([
-        _nearest_cells(spec, cr, cc, size) for (cr, cc), size in zip(centers, sizes)
-    ])
-    if _has_repeat(cells):
-        raise ValueError(
-            "intermediate clusters overlap; lattice too small to separate them"
-        )
-    return cells
-
-
-def schedule_innovators(
-    positions: np.ndarray,
-    gamma: int,
-    rng: np.random.Generator,
-) -> SeedingPlan:
-    """Randomly permute positions into activation order, gamma per tick.
-
-    Draws one `rng.permutation(len(positions))`.
-    """
-    positions = np.asarray(positions)
-    return SeedingPlan(positions[rng.permutation(len(positions))], gamma)
+    return _clustered(spec, pattern, count)
 
 
 def build_plan(
@@ -182,9 +151,13 @@ def build_plan(
     gamma: int,
     rng: np.random.Generator,
 ) -> SeedingPlan:
-    """Place innovators and schedule them in one step (placement first)."""
+    """Place innovators, then draw their activation order, `gamma` per tick.
+
+    Draws `rng.choice` for uniform placement (compact and intermediate draw
+    nothing), then one `rng.permutation(count)`.
+    """
     positions = place_innovators(spec, pattern, count, rng)
-    return schedule_innovators(positions, gamma, rng)
+    return SeedingPlan(positions[rng.permutation(len(positions))], gamma)
 
 
 def default_innovator_count(

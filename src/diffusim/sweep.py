@@ -113,10 +113,10 @@ class SimConfig:
         """Build this run's network and seeding plan.
 
         The run's random stream is one generator seeded from `seed`,
-        consumed in a fixed order: rewiring (only when p_r > 0), innovator
-        placement, activation scheduling. The generator is returned in the
-        state those draws leave it, for callers that keep drawing from it
-        (random-sequential updating).
+        consumed in a fixed order: rewiring (only when p_r > 0), then
+        `build_plan`'s draws (placement, then activation order). The
+        generator is returned in the state those draws leave it, for
+        callers that keep drawing from it (random-sequential updating).
         """
         rng = np.random.default_rng(self.seed)
         net = build_lattice(self.lattice)

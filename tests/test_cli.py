@@ -19,8 +19,9 @@ from diffusim.cli import (
     manifest_path,
 )
 from diffusim.engine import read_trajectory_csv
+from diffusim.network import LatticeSpec, Neighborhood, network_stats
 from diffusim.seeding import Pattern
-from diffusim.sweep import default_grid, run_sweep
+from diffusim.sweep import SimConfig, default_grid, run_sweep
 
 SMALL_GRID = {
     "rows": 40,
@@ -87,6 +88,20 @@ def test_takeoff_rejects_zero_q(capsys):
     assert "q" in err
 
 
+@pytest.mark.parametrize("p, q", [
+    # q > p(2+sqrt(3)), so the takeoff is positive, but it underflows to 0.0
+    ("2e307", "7.464101615137755e307"),
+    ("1e308", "1e308"),  # p + q overflows
+], ids=["underflow", "overflow"])
+def test_takeoff_rejects_p_q_it_cannot_represent(capsys, p, q):
+    # either would print a zero of the wrong sign, read as "degenerate"
+    code, out, err = run_cli(capsys, "takeoff", p, q)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (f"error: arguments p, q: takeoff time at p={float(p)}, "
+                   f"q={float(q)} is out of float range\n")
+
+
 def test_bass_at_time_zero_is_zero(capsys):
     code, out, _ = run_cli(capsys, "bass", "0.03", "0.4", "--t", "0")
     assert code == EXIT_OK
@@ -113,6 +128,15 @@ def test_bass_rejects_non_integer_t_max(tmp_path, capsys, t_max):
     assert exc.value.code == EXIT_CONFIG
     assert "--t-max" in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_bass_rejects_negative_t_max(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    code, _, err = run_cli(capsys, "bass", "0.03", "0.4", "--t-max", "-1",
+                           "--out", str(curve))
+    assert code == EXIT_CONFIG
+    assert "argument --t-max must be >= 0" in err
+    assert not curve.exists()
 
 
 def test_bass_rejects_nonpositive_p(capsys):
@@ -324,6 +348,29 @@ def test_real_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, monkeypat
     code, _, err = run_cli(capsys, command, config, "--out", str(tmp_path / "out"))
     assert code == EXIT_CONFIG
     assert f"config key '{key}' must be a number that a float can hold" in err
+
+
+@pytest.mark.parametrize("command, key, value, shown", [
+    ("simulate", "delta_u", "0.6", '"0.6"'),
+    ("sweep", "delta_u_levels", [True], "true"),
+])
+def test_real_config_key_takes_only_numbers(tmp_path, capsys, monkeypatch,
+                                            command, key, value, shown):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "c.json", {key: value})
+    code, _, err = run_cli(capsys, command, config, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert f"config key '{key}' must be a number, got {shown}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, monkeypatch, command):
+    _no_runs(monkeypatch)
+    config = write_json(tmp_path / "c.json", [])
+    code, _, err = run_cli(capsys, command, config, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert f"config file {config} must hold a JSON object" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
@@ -715,6 +762,19 @@ def test_roi_reports_gain_fields(capsys):
     assert report["adoption_boosted"] > report["adoption_base"]
 
 
+def test_roi_rejects_a_pair_without_a_takeoff_time(capsys):
+    code, out, err = run_cli(
+        capsys, "roi",
+        "--base-p", "0.01", "--base-q", "0.35",
+        "--boost-p", "1e308", "--boost-q", "1e308",
+        "--t-star", "15", "--profit-per-adopter", "2.5", "--investment", "0",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "argument --boost-q: " in err
+    assert "p=1e+308, q=1e+308" in err
+
+
 def test_roi_rejects_t_star_before_takeoff(capsys):
     code, _, err = run_cli(
         capsys, "roi",
@@ -794,6 +854,28 @@ def test_netstats_rewiring_shortens_paths(capsys):
                         "--sample", "900")
     rewired = json.loads(out)
     assert rewired["mean_path_length"] < base["mean_path_length"]
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("p_r", [0.0, 0.04])
+def test_netstats_describes_the_network_a_run_uses(capsys, monkeypatch, k, p_r):
+    # netstats repeats realize()'s network step, so at a row's seed it must
+    # summarize that row's network
+    seen = []
+
+    def spy(net, **kwargs):
+        seen.append(net)
+        return network_stats(net, **kwargs)
+
+    monkeypatch.setattr("diffusim.cli.network_stats", spy)
+    code, _, _ = run_cli(capsys, "netstats", "--rows", "12", "--cols", "12",
+                         "--k", str(k), "--p-r", str(p_r), "--seed", "7",
+                         "--sample", "4")
+    assert code == EXIT_OK
+    run_net = SimConfig(LatticeSpec(12, 12, Neighborhood.for_k(k)), 0.6,
+                        Pattern.UNIFORM, p_r, 4, seed=7).realize()[0]
+    [net] = seen
+    assert np.array_equal(net.neighbor_table, run_net.neighbor_table)
 
 
 def test_netstats_rejects_bad_rewire_probability(capsys):

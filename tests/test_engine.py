@@ -31,7 +31,7 @@ from diffusim.network import (
     build_lattice,
     rewire,
 )
-from diffusim.seeding import Pattern, SeedingPlan, build_plan, schedule_innovators
+from diffusim.seeding import Pattern, SeedingPlan, build_plan
 from diffusim.sweep import SimConfig
 
 MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
@@ -124,6 +124,11 @@ def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
 
 def empty_plan() -> SeedingPlan:
     return SeedingPlan(positions=np.empty(0, dtype=np.int64), gamma=1)
+
+
+def permuted_plan(positions, gamma, rng) -> SeedingPlan:
+    """A plan over hand-picked positions, in build_plan's activation order."""
+    return SeedingPlan(positions[rng.permutation(len(positions))], gamma)
 
 
 def with_isolated_nodes(spec: LatticeSpec, isolated) -> SocialNetwork:
@@ -451,9 +456,7 @@ class TestThresholdEquivalence:
     def test_brute_force_with_isolated_nodes(self, delta_u):
         spec = LatticeSpec(6, 6, Neighborhood.MOORE)
         net = with_isolated_nodes(spec, [0, 14, 21])
-        plan = schedule_innovators(
-            np.array([7, 21, 28]), gamma=2, rng=np.random.default_rng(3)
-        )
+        plan = permuted_plan(np.array([7, 21, 28]), 2, np.random.default_rng(3))
         assert_ticks_follow_rule(net, plan, DecisionParams(delta_u=delta_u), 40)
 
 
@@ -535,9 +538,7 @@ class TestRandomSequentialMode:
 
     def test_requires_rng(self):
         net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
-        plan = schedule_innovators(
-            np.array([0, 1]), gamma=2, rng=np.random.default_rng(0)
-        )
+        plan = permuted_plan(np.array([0, 1]), 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="rng"):
             simulate(
                 net, plan, DecisionParams(delta_u=0.6), max_ticks=10,
@@ -644,7 +645,7 @@ class TestEveryNodeIsolated:
         net = SocialNetwork(np.empty((0, 2), dtype=np.int64), spec)
         assert net.neighbor_table.shape == (20, 0)
         rng = np.random.default_rng(5)
-        plan = schedule_innovators(np.array([3, 11, 17]), gamma=2, rng=rng)
+        plan = permuted_plan(np.array([3, 11, 17]), 2, rng)
         params = DecisionParams(delta_u=delta_u)
         if update == SYNCHRONOUS:
             assert_ticks_follow_rule(net, plan, params, max_ticks=10)
@@ -658,25 +659,19 @@ class TestEveryNodeIsolated:
 class TestValidation:
     def test_rejects_out_of_range_positions(self):
         net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
-        plan = schedule_innovators(
-            np.array([3, 25]), gamma=2, rng=np.random.default_rng(0)
-        )
+        plan = permuted_plan(np.array([3, 25]), 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="outside"):
             simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=10)
 
     def test_rejects_short_max_ticks(self):
         net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
-        plan = schedule_innovators(
-            np.arange(6), gamma=2, rng=np.random.default_rng(0)
-        )
+        plan = permuted_plan(np.arange(6), 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_ticks"):
             simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=2)
 
     def test_rejects_unknown_update_mode(self):
         net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
-        plan = schedule_innovators(
-            np.array([0]), gamma=1, rng=np.random.default_rng(0)
-        )
+        plan = permuted_plan(np.array([0]), 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="update"):
             simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=10, update="eager")
 

@@ -96,6 +96,12 @@ def test_spec_rejects_degenerate_lattice():
         LatticeSpec(5, 1, Neighborhood.VON_NEUMANN)
 
 
+def test_spec_rejects_a_neighborhood_that_is_not_one():
+    with pytest.raises(ValueError,
+                       match="^neighborhood must be a Neighborhood, got 'moore'$"):
+        LatticeSpec(5, 5, "moore")
+
+
 @pytest.mark.parametrize("k", [4, 8])
 def test_neighborhood_for_k_is_the_interior_degree(k):
     neighborhood = Neighborhood.for_k(k)

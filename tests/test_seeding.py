@@ -16,7 +16,6 @@ from diffusim.seeding import (
     build_plan,
     default_innovator_count,
     place_innovators,
-    schedule_innovators,
 )
 
 SPEC_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
@@ -131,6 +130,14 @@ def test_clustered_placement_matches_full_lattice_lexsort(case):
     assert pos.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("pattern", [Pattern.COMPACT, Pattern.INTERMEDIATE])
+def test_clustered_placement_is_cached_and_read_only(pattern):
+    pos = place_innovators(SPEC_200, pattern, 1000)
+    assert place_innovators(SPEC_200, pattern, 1000) is pos
+    with pytest.raises(ValueError, match="read-only"):
+        pos[0] = 0
+
+
 # --- uniform --------------------------------------------------------------------
 
 def test_uniform_distinct_in_range():
@@ -152,6 +159,11 @@ def test_uniform_deterministic_by_seed():
 
 
 # --- placement validation --------------------------------------------------------
+
+def test_unknown_pattern_rejected():
+    with pytest.raises(ValueError, match="^unknown pattern: 'compact'$"):
+        place_innovators(SPEC_200, "compact", 10)
+
 
 def test_count_bounds():
     spec = LatticeSpec(4, 4, Neighborhood.MOORE)
@@ -175,8 +187,13 @@ def test_schedule_single_block():
     assert np.array_equal(plan.seeds_at(1), plan.positions)
 
 
+def permuted_plan(positions, gamma, rng):
+    """A plan over hand-picked positions, in build_plan's activation order."""
+    return SeedingPlan(positions[rng.permutation(len(positions))], gamma)
+
+
 def test_schedule_partial_final_block():
-    plan = schedule_innovators(np.arange(7), 3, np.random.default_rng(0))
+    plan = permuted_plan(np.arange(7), 3, np.random.default_rng(0))
     blocks = [plan.seeds_at(t).tolist() for t in range(1, 5)]
     assert [len(block) for block in blocks] == [3, 3, 1, 0]
     assert sum(blocks, []) == plan.positions.tolist()
@@ -184,9 +201,9 @@ def test_schedule_partial_final_block():
 
 
 def test_schedule_permutes_positions():
-    positions = np.arange(1000)
-    plan = schedule_innovators(positions, 125, np.random.default_rng(5))
-    assert set(plan.positions.tolist()) == set(range(1000))
+    positions = place_innovators(SPEC_200, Pattern.COMPACT, 1000)
+    plan = build_plan(SPEC_200, Pattern.COMPACT, 1000, 125, np.random.default_rng(5))
+    assert sorted(plan.positions.tolist()) == sorted(positions.tolist())
     assert not np.array_equal(plan.positions, positions)
 
 
@@ -197,8 +214,9 @@ def test_plan_invariants_rejected():
         SeedingPlan(np.array([1, 2]), 0)
     # a fractional rate is rejected, not truncated to int(2.5) = 2 per tick
     with pytest.raises(ValueError, match="gamma must be an integer"):
-        schedule_innovators(np.arange(5), 2.5, np.random.default_rng(0))
+        build_plan(SPEC_200, Pattern.COMPACT, 5, 2.5, np.random.default_rng(0))
     assert SeedingPlan(np.array([1, 2]), np.int64(2)).last_tick == 1
+    assert SeedingPlan(np.empty(0, dtype=np.int32), 3).last_tick == 0
     assert SeedingPlan(np.array([1, 2], dtype=np.uint16), 1).last_tick == 2
 
 
@@ -223,7 +241,7 @@ def test_plan_compares_and_hashes_by_identity():
 
 @pytest.mark.parametrize("tick", range(5))
 def test_unseeded_after_is_the_later_ticks_blocks(tick):
-    plan = schedule_innovators(np.arange(7), 3, np.random.default_rng(0))
+    plan = permuted_plan(np.arange(7), 3, np.random.default_rng(0))
     later = [plan.seeds_at(t) for t in range(tick + 1, plan.last_tick + 1)]
     assert np.array_equal(plan.unseeded_after(tick),
                           np.concatenate([np.empty(0, dtype=np.int64)] + later))
@@ -242,16 +260,18 @@ def test_plan_positions_must_be_a_1d_integer_array(positions):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    total=st.integers(0, 400),
+    pattern=st.sampled_from(Pattern),
+    total=st.integers(1, 400),
     gamma=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(total=0, gamma=1, seed=0)
-def test_schedule_properties(total, gamma, seed):
+@example(pattern=Pattern.UNIFORM, total=1, gamma=1, seed=0)
+def test_schedule_properties(pattern, total, gamma, seed):
+    spec = LatticeSpec(100, 100, Neighborhood.MOORE)
     rng = np.random.default_rng(seed)
-    positions = rng.choice(10_000, size=total, replace=False)
-    plan = schedule_innovators(positions, gamma, copy.deepcopy(rng))
-    # activation order is one permutation drawn from the run's stream
+    plan = build_plan(spec, pattern, total, gamma, copy.deepcopy(rng))
+    # placement, then one permutation, both drawn from the run's stream
+    positions = place_innovators(spec, pattern, total, rng)
     assert np.array_equal(plan.positions, positions[rng.permutation(total)])
     assert plan.last_tick == -(-total // gamma)
     blocks = [plan.seeds_at(t) for t in range(1, plan.last_tick + 2)]
