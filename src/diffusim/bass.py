@@ -36,11 +36,9 @@ class BassParams:
 
     def __post_init__(self) -> None:
         _check_real("p", self.p)
-        _check_real("q", self.q)
         if self.p <= 0:
             raise ValueError(f"p must be > 0, got {self.p}")
-        if self.q < 0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
+        _check_real("q", self.q, 0)
 
 
 def _curve(p: float, q: float, t: np.ndarray):

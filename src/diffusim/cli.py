@@ -41,6 +41,7 @@ from diffusim.engine import _write_csv, read_trajectory_csv, write_trajectory_cs
 from diffusim.network import (
     LatticeSpec,
     Neighborhood,
+    _check_integer,
     _check_real,
     build_lattice,
     network_stats,
@@ -286,8 +287,7 @@ def cmd_bass(args) -> int:
     if args.t is not None:
         _out(repr(_checked("argument --t", bass_curve, params, args.t)))
         return EXIT_OK
-    if args.t_max < 0:
-        raise ConfigError("argument --t-max must be >= 0")
+    _checked("argument --t-max", _check_integer, "t_max", args.t_max, 0)
     values = bass_curve(params, np.arange(args.t_max + 1, dtype=float)).tolist()
     _write_csv(args.out, ["tick", "proportion"],
                ([tick, repr(value)] for tick, value in enumerate(values)))
@@ -351,9 +351,7 @@ def cmd_envelope(args) -> int:
 
 def cmd_netstats(args) -> int:
     neighborhood = _checked("argument --k", Neighborhood.for_k, args.k)
-    # rewire sees p_r only when it is positive, so no model check covers it
-    if not 0 <= args.p_r <= 1:
-        raise ConfigError("argument --p-r must be in [0, 1]")
+    _checked("argument --p-r", _check_real, "p_r", args.p_r, 0, 1)
     lattice = _checked("arguments --rows/--cols", LatticeSpec,
                        args.rows, args.cols, neighborhood)
     rng = np.random.default_rng(args.seed)

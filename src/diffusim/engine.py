@@ -59,10 +59,8 @@ class DecisionParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_real("alpha", self.alpha)
+        _check_real("alpha", self.alpha, 0, 1)
         _check_real("delta_u", self.delta_u)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +101,7 @@ class AdoptionTrajectory:
 
 def delta_utility(v_plus: float, params: DecisionParams) -> float:
     """Utility gain of adopting when a fraction v_plus of neighbors adopted."""
-    if not 0.0 <= v_plus <= 1.0:
-        raise ValueError(f"v_plus must be in [0, 1], got {v_plus}")
+    _check_real("v_plus", v_plus, 0, 1)
     return params.alpha * (2.0 * v_plus - 1.0) + (1.0 - params.alpha) * params.delta_u
 
 
@@ -112,30 +109,28 @@ def adoption_threshold(neighbor_count: int, params: DecisionParams) -> int:
     """Minimum adopter neighbors that push delta_utility above zero.
 
     Returns 0 when adoption is spontaneous (no adopter neighbors needed) and
-    neighbor_count + 1 when no attainable fraction suffices.
+    neighbor_count + 1 when no attainable fraction suffices. An agent with no
+    neighbors reads v+ as 0, so its threshold is 0 or 1.
     """
-    _check_integer("neighbor_count", neighbor_count, 1)
+    _check_integer("neighbor_count", neighbor_count, 0)
     for m in range(neighbor_count + 1):
-        if delta_utility(m / neighbor_count, params) > 0.0:
+        if delta_utility(m / max(neighbor_count, 1), params) > 0.0:
             return m
     return neighbor_count + 1
 
 
 def _thresholds_by_node(net: SocialNetwork, params: DecisionParams) -> np.ndarray:
     """Per-node adopter-neighbor threshold, looked up in a table indexed by
-    degree; isolated nodes can only adopt spontaneously (their v+ is taken
-    as 0).
+    degree.
 
     Returned as the run's starting int32 countdown: n + 1 entries, the last
-    (the padding's slot) `_DONE`; the never-reached threshold node_count + 1
-    fits int32. The lookup writes straight into it: `take` with `out`
-    buffers its whole result under mode "raise", and "clip" never acts
-    here, as every degree indexes the table."""
+    (the padding's slot) `_DONE`. An isolated node's threshold, 0 or 1, is
+    never counted down: its row is all padding, so no row names it. The
+    lookup writes straight into it: `take` with `out` buffers its whole
+    result under mode "raise", and "clip" never acts here, as every degree
+    indexes the table."""
     n, degrees = net.node_count, net.degrees
-    isolated = 0 if delta_utility(0.0, params) > 0.0 else n + 1
-    table = [isolated] + [
-        adoption_threshold(d, params) for d in range(1, degrees.max(initial=0) + 1)
-    ]
+    table = [adoption_threshold(d, params) for d in range(degrees.max(initial=0) + 1)]
     need = np.empty(n + 1, dtype=np.int32)
     need[n] = _DONE
     np.asarray(table, dtype=np.int32).take(degrees, out=need[:n], mode="clip")

@@ -58,18 +58,23 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
+def _check_real(name: str, value, low: float = -math.inf,
+                high: float = math.inf) -> None:
     """Reject a value that is not a Python or numpy integer or float whose
-    float is finite (not inf, NaN or an int past a float's range); a bool is
-    not a number. Each field checks its own range after this."""
+    float is finite (not inf, NaN or an int past a float's range) and in
+    [low, high] (unbounded by default); a bool is not a number."""
     if not isinstance(value, bool) and isinstance(
             value, (int, float, np.integer, np.floating)):
         try:
-            if math.isfinite(value):
+            if math.isfinite(value) and low <= value <= high:
                 return
         except OverflowError:
             pass
-    raise ValueError(f"{name} must be a real number, finite as a float, "
+    if high == math.inf:
+        bound = "" if low == -math.inf else f" >= {low}"
+    else:
+        bound = f" in [{low}, {high}]"
+    raise ValueError(f"{name} must be a real number{bound}, finite as a float, "
                      f"got {value!r}")
 
 
@@ -276,9 +281,7 @@ def rewire(net: SocialNetwork, p_r: float, rng: np.random.Generator) -> SocialNe
     Returns:
         A new immutable network.
     """
-    _check_real("p_r", p_r)
-    if not 0.0 <= p_r <= 1.0:
-        raise ValueError(f"p_r must be in [0, 1], got {p_r}")
+    _check_real("p_r", p_r, 0, 1)
     lattice = build_lattice(net.base_spec)
     table, degrees = lattice.neighbor_table, lattice.degrees
     if not (net is lattice or np.array_equal(net.neighbor_table, table)):

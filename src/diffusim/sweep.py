@@ -82,9 +82,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.lattice, LatticeSpec):
             raise ValueError(f"lattice must be a LatticeSpec, got {self.lattice!r}")
-        _check_real("p_r", self.p_r)
-        if not 0.0 <= self.p_r <= 1.0:
-            raise ValueError(f"p_r must be in [0, 1], got {self.p_r}")
+        _check_real("p_r", self.p_r, 0, 1)
         if not isinstance(self.sigma, Pattern):
             raise ValueError(f"sigma must be a Pattern, got {self.sigma!r}")
         _check_integer("gamma", self.gamma, 1)

@@ -130,15 +130,6 @@ def test_bass_rejects_non_integer_t_max(tmp_path, capsys, t_max):
     assert not (tmp_path / "curve.csv").exists()
 
 
-def test_bass_rejects_negative_t_max(tmp_path, capsys):
-    curve = tmp_path / "curve.csv"
-    code, _, err = run_cli(capsys, "bass", "0.03", "0.4", "--t-max", "-1",
-                           "--out", str(curve))
-    assert code == EXIT_CONFIG
-    assert "argument --t-max must be >= 0" in err
-    assert not curve.exists()
-
-
 def test_bass_rejects_nonpositive_p(capsys):
     code, _, err = run_cli(capsys, "bass", "0", "0.4", "--t", "1")
     assert code == EXIT_CONFIG
@@ -584,6 +575,24 @@ def test_count_below_one_is_a_usage_error(capsys, monkeypatch, argv, named):
     assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,named,message",
+    [(["netstats", "--p-r", "1.5"], "--p-r",
+      "p_r must be a real number in [0, 1], finite as a float, got 1.5"),
+     (["bass", "0.03", "0.4", "--t-max", "-1", "--out", "curve.csv"], "--t-max",
+      "t_max must be an integer >= 0, got -1")],
+    ids=["netstats-p-r", "bass-t-max"],
+)
+def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                argv, named, message):
+    # run in an empty directory, so that any file the command wrote shows
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert f"argument {named}: {message}" in err
+    assert out == "" and not os.listdir(tmp_path)
+
+
 # ---- envelope ----
 
 
@@ -876,12 +885,6 @@ def test_netstats_describes_the_network_a_run_uses(capsys, monkeypatch, k, p_r):
                         Pattern.UNIFORM, p_r, 4, seed=7).realize()[0]
     [net] = seen
     assert np.array_equal(net.neighbor_table, run_net.neighbor_table)
-
-
-def test_netstats_rejects_bad_rewire_probability(capsys):
-    code, _, err = run_cli(capsys, "netstats", "--p-r", "1.5")
-    assert code == EXIT_CONFIG
-    assert "p-r" in err
 
 
 def test_netstats_rejects_too_small_lattice(capsys):

@@ -235,9 +235,10 @@ class TestAdoptionThreshold:
                 ]
                 assert thr == (candidates[0] if candidates else d + 1)
 
-    def test_rejects_nonpositive_neighbor_count(self):
-        with pytest.raises(ValueError):
-            adoption_threshold(0, DecisionParams(delta_u=0.6))
+    @pytest.mark.parametrize("delta_u, expected", [(1.2, 0), (1.0, 1), (0.6, 1), (-1.0, 1)])
+    def test_no_neighbors_reads_v_plus_as_zero(self, delta_u, expected):
+        # spontaneous adoption, or a threshold no decrement can reach
+        assert adoption_threshold(0, DecisionParams(delta_u=delta_u)) == expected
 
 
 class TestTrajectoryType:
@@ -469,12 +470,7 @@ class TestThresholdTable:
         assert len(thresholds) == net.node_count + 1
         assert thresholds[-1] == _DONE
         for node, degree in enumerate(net.degrees.tolist()):
-            if degree == 0:  # v+ taken as 0: spontaneous or never
-                spontaneous = delta_utility(0.0, params) > 0.0
-                expected = 0 if spontaneous else net.node_count + 1
-            else:
-                expected = adoption_threshold(degree, params)
-            assert thresholds[node] == expected, (node, degree)
+            assert thresholds[node] == adoption_threshold(degree, params), (node, degree)
 
     # delta_u 1.2 adopts spontaneously (threshold 0) and -1.0 never adopts
     # (threshold above the degree) at any alpha below 1
@@ -505,7 +501,7 @@ class TestThresholdTable:
         )
         params = DecisionParams(delta_u=delta_u)
         self.assert_thresholds_by_degree(net, params)
-        expected_isolated = 0 if delta_u > 1.0 else net.node_count + 1
+        expected_isolated = 0 if delta_u > 1.0 else 1
         assert _thresholds_by_node(net, params)[3:6].tolist() == [expected_isolated] * 3
 
 

@@ -3,7 +3,8 @@ a Python or numpy integer within the count's bounds passes; a bool, a
 non-integer or a value out of bounds is a ValueError naming the field.
 The real-valued fields share one rule too: a bool, a value that is not a
 Python or numpy number, or one whose float is not finite (inf, NaN or an
-int past a float's range) is a ValueError naming the field."""
+int past a float's range), or that lies outside the field's closed range,
+is a ValueError naming the field."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 
 from diffusim.bass import BassParams
 from diffusim.engine import (
-    AdoptionTrajectory, DecisionParams, adoption_threshold, simulate,
+    AdoptionTrajectory, DecisionParams, adoption_threshold, delta_utility, simulate,
 )
 from diffusim.network import (
     LatticeSpec, Neighborhood, build_lattice, network_stats, rewire,
@@ -47,7 +48,7 @@ COUNTS = [
     ("SimConfig", "max_ticks", 1, lambda v: sim_config(max_ticks=v)),
     ("place_innovators", "count", 1,
      lambda v: place_innovators(LATTICE, Pattern.COMPACT, v)),
-    ("adoption_threshold", "neighbor_count", 1, lambda v: adoption_threshold(v, PARAMS)),
+    ("adoption_threshold", "neighbor_count", 0, lambda v: adoption_threshold(v, PARAMS)),
     ("simulate", "max_ticks", 0, lambda v: simulate(
         build_lattice(LATTICE), SeedingPlan(np.array([12]), 1), PARAMS, v)),
     ("network_stats", "sample_size", 1,
@@ -87,27 +88,33 @@ def test_master_seed_above_its_bound_is_rejected_before_any_run(monkeypatch, val
         run_sweep([sim_config()], master_seed=value)
 
 
-# (owner, field, call that takes the value for the field)
+# (owner, field, closed range (low, high) with None for no bound, call that
+# takes the value for the field); the open bounds of innovator_fraction and
+# BassParams.p are checked apart, so they are listed unbounded here
 REALS = [
-    ("SimConfig", "p_r", lambda v: sim_config(p_r=v)),
-    ("rewire", "p_r", lambda v: rewire(build_lattice(LATTICE), v, np.random.default_rng(0))),
-    ("SimConfig", "innovator_fraction", lambda v: sim_config(innovator_fraction=v)),
-    ("SimConfig", "delta_u", lambda v: sim_config(delta_u=v)),
-    ("SimConfig", "alpha", lambda v: sim_config(alpha=v)),
-    ("default_innovator_count", "innovator_fraction",
+    ("SimConfig", "p_r", (0, 1), lambda v: sim_config(p_r=v)),
+    ("rewire", "p_r", (0, 1),
+     lambda v: rewire(build_lattice(LATTICE), v, np.random.default_rng(0))),
+    ("SimConfig", "innovator_fraction", (None, None),
+     lambda v: sim_config(innovator_fraction=v)),
+    ("SimConfig", "delta_u", (None, None), lambda v: sim_config(delta_u=v)),
+    ("SimConfig", "alpha", (0, 1), lambda v: sim_config(alpha=v)),
+    ("default_innovator_count", "innovator_fraction", (None, None),
      lambda v: default_innovator_count(LATTICE, v)),
-    ("DecisionParams", "delta_u", lambda v: DecisionParams(delta_u=v)),
-    ("DecisionParams", "alpha", lambda v: DecisionParams(delta_u=0.6, alpha=v)),
-    ("BassParams", "p", lambda v: BassParams(v, 0.5)),
-    ("BassParams", "q", lambda v: BassParams(0.01, v)),
-    ("roi_check", "t_star",
+    ("DecisionParams", "delta_u", (None, None), lambda v: DecisionParams(delta_u=v)),
+    ("DecisionParams", "alpha", (0, 1), lambda v: DecisionParams(delta_u=0.6, alpha=v)),
+    ("delta_utility", "v_plus", (0, 1), lambda v: delta_utility(v, PARAMS)),
+    ("BassParams", "p", (None, None), lambda v: BassParams(v, 0.5)),
+    ("BassParams", "q", (0, None), lambda v: BassParams(0.01, v)),
+    ("roi_check", "t_star", (None, None),
      lambda v: roi_check(BassParams(0.01, 0.4), BassParams(0.02, 0.4), 100, v,
                          1.0, 0.0, 0.0)),
 ]
+BOUNDED = [r for r in REALS if r[2] != (None, None)]
 
 
-@pytest.mark.parametrize("field, call", [r[1:] for r in REALS],
-                         ids=[f"{owner}.{field}" for owner, field, _ in REALS])
+@pytest.mark.parametrize("field, call", [(r[1], r[3]) for r in REALS],
+                         ids=[f"{owner}.{field}" for owner, field, _, _ in REALS])
 @pytest.mark.parametrize(
     "value", [True, False, np.True_, "0.1", None, 1j, 10**400, math.inf, -math.inf, math.nan],
     ids=["True", "False", "numpy-True", "str", "None", "complex", "int-past-float",
@@ -115,6 +122,31 @@ REALS = [
 def test_real_field_rejects_bools_and_non_numbers(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be a real number"):
         call(value)
+
+
+@pytest.mark.parametrize("field, bounds, call", [r[1:] for r in BOUNDED],
+                         ids=[f"{owner}.{field}" for owner, field, _, _ in BOUNDED])
+def test_bounded_real_accepts_its_bounds_and_rejects_the_next_float_past_them(
+        field, bounds, call):
+    for bound, outward in zip(bounds, (-math.inf, math.inf)):
+        if bound is None:
+            continue
+        call(float(bound))
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            call(np.nextafter(float(bound), outward))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DecisionParams(delta_u=0.6, alpha=1.5),
+     "alpha must be a real number in [0, 1], finite as a float, got 1.5"),
+    (lambda: BassParams(0.01, -1), "q must be a real number >= 0, finite as a float, got -1"),
+    (lambda: DecisionParams(delta_u=math.nan), "delta_u must be a real number, "
+                                               "finite as a float, got nan"),
+], ids=["closed", "low-only", "unbounded"])
+def test_range_message_states_the_bounds(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_numpy_numbers_are_real():
