@@ -18,9 +18,8 @@ An agent's only state is one int32 countdown, `need`: its threshold minus its
 adopter neighbors so far; it adopts once `need` <= 0. Innovators and adopters
 hold `_DONE`, which no later decrement brings below `_DECIDED`, while an
 undecided agent's `need` stays within [-node_count, node_count + 1]; so
-`need < _DECIDED` is "undecided", and an adopted mask is built from `need`
-only for an `on_tick` reader. Neighbors are gathered with one `take` of rows
-of the network's padded `neighbor_table`, whose padding entries name
+`need < _DECIDED` is "undecided". Neighbors are gathered with one `take` of
+rows of the network's padded `neighbor_table`, whose padding entries name
 node_count: `need` has one spare last slot, held at `_DONE`, that soaks up
 their decrements. A synchronous tick is one compare into a bool mask
 allocated once per run, one `nonzero`, one neighbor gather and one scatter;
@@ -230,10 +229,10 @@ def simulate(
         rng: required only for the random-sequential update mode.
         update: SYNCHRONOUS (default) or RANDOM_SEQUENTIAL (the
             sensitivity mode whose contract the module docstring states).
-        on_tick: optional callback (tick, adopted) called after each tick is
-            recorded. `adopted` is a read-only bool mask of the agents
-            adopted so far, seeded innovators included, built from `need`
-            for the callback alone.
+        on_tick: optional callback (tick, adopters) called after each tick
+            is recorded. `adopters` holds the agents that adopted in that
+            tick, innovators released at it included, each once, in a fresh
+            array; `ticks[adopters] = tick` collects each agent's tick.
 
     Returns:
         AdoptionTrajectory starting at proportion 0.
@@ -274,18 +273,16 @@ def simulate(
                 nodes = np.concatenate((plan.seeds_at(t), nodes))
             delta = _adopt(table, nodes, need)
         else:
-            delta = _adopt(table, plan.seeds_at(t), need)
-            delta += _adopt(table, _random_sequential_pass(table, need, rng), need)
+            seeds = plan.seeds_at(t)
+            delta = _adopt(table, seeds, need)
+            nodes = _random_sequential_pass(table, need, rng)
+            delta += _adopt(table, nodes, need)
+            nodes = np.concatenate((seeds, nodes))
         adopted_total += delta
         proportions.append(adopted_total / n)
 
         if on_tick is not None:
-            # innovators hold `_DONE` from the start; unseeded ones are not
-            # adopted yet
-            adopted = need[:n] >= _DECIDED
-            adopted[plan.unseeded_after(t)] = False
-            adopted.setflags(write=False)
-            on_tick(t, adopted)
+            on_tick(t, nodes)
 
         if adopted_total == n:
             break

@@ -49,7 +49,7 @@ class SeedingPlan:
     checked, is in activation order: innovators activate in blocks of
     `gamma` per tick, the block for tick t = 1, 2, ... being
     positions[(t-1)*gamma : t*gamma]; the final block may be partial, and
-    only `seeds_at` and `unseeded_after` read this layout. Compared by identity.
+    only `seeds_at` reads this layout. Compared by identity.
     """
 
     positions: np.ndarray
@@ -76,10 +76,6 @@ class SeedingPlan:
     def seeds_at(self, tick: int) -> np.ndarray:
         """Innovators activating at `tick` (>= 1); empty after last_tick."""
         return self.positions[(tick - 1) * self.gamma : tick * self.gamma]
-
-    def unseeded_after(self, tick: int) -> np.ndarray:
-        """Innovators still to activate once `tick` (>= 0) is over."""
-        return self.positions[tick * self.gamma :]
 
 
 @lru_cache(maxsize=32)

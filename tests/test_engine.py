@@ -2,11 +2,14 @@
 
 import copy
 import csv
+import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import distance_transform_cdt
 
 from diffusim.engine import (
     RANDOM_SEQUENTIAL,
@@ -32,29 +35,32 @@ from diffusim.network import (
     rewire,
 )
 from diffusim.seeding import Pattern, SeedingPlan, build_plan
-from diffusim.sweep import SimConfig
+from diffusim.sweep import SimConfig, default_grid, derive_run_seed
 
 MOORE_200 = LatticeSpec(200, 200, Neighborhood.MOORE)
 VN_200 = LatticeSpec(200, 200, Neighborhood.VON_NEUMANN)
+
+
+def release_ticks(plan) -> np.ndarray:
+    """Each innovator's activation tick, in `plan.positions` order."""
+    return 1 + np.arange(len(plan.positions)) // plan.gamma
 
 
 def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None):
     """Reference random-sequential run: one agent at a time in permuted order.
 
     The per-agent form of simulate's random-sequential contract; simulate
-    must give the same trajectory, the same per-tick adoption states and
-    leave the generator in the same state.
+    must give the same trajectory, the same adopters in each tick and leave
+    the generator in the same state.
     """
     n = net.node_count
     thresholds = _thresholds_by_node(net, params)
-    adopted = np.zeros(n, dtype=bool)
     innovator = np.zeros(n, dtype=bool)
     innovator[plan.positions] = True
     eligible = ~innovator
     counts = np.zeros(n, dtype=np.int64)  # adopter neighbors, kept incrementally
 
-    # innovator activations grouped by tick: positions[i] at 1 + i // gamma
-    activation_ticks = 1 + np.arange(len(plan.positions)) // plan.gamma
+    activation_ticks = release_ticks(plan)
     last_tick = int(activation_ticks.max(initial=0))
     by_tick: dict[int, np.ndarray] = {}
     for tick in np.unique(activation_ticks):
@@ -67,27 +73,23 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
     for t in range(1, max_ticks + 1):
         seeds = by_tick.get(t, np.empty(0, dtype=np.int64))
 
-        adopted[seeds] = True
-        adopted_total += len(seeds)
+        adopters = seeds.tolist()
         for seed in seeds:
             counts[net.neighbors(int(seed))] += 1
         # immediate-update pass in random order over remaining agents
         candidates = np.flatnonzero(eligible)
         for agent in candidates[rng.permutation(len(candidates))]:
             if counts[agent] >= thresholds[agent]:
-                adopted[agent] = True
+                adopters.append(int(agent))
                 eligible[agent] = False
                 counts[net.neighbors(int(agent))] += 1
-                adopted_total += 1
 
-        delta = adopted_total - round(proportions[-1] * n)
-        assert delta >= 0, "adoption must be irreversible"
+        delta = len(adopters)
+        adopted_total += delta
         proportions.append(adopted_total / n)
 
         if on_tick is not None:
-            a_view = adopted.view()
-            a_view.setflags(write=False)
-            on_tick(t, a_view)
+            on_tick(t, np.array(adopters, dtype=np.int64))
 
         if adopted_total == n:
             break
@@ -101,24 +103,46 @@ def _simulate_sequential_scalar(net, plan, params, max_ticks, rng, on_tick=None)
     return AdoptionTrajectory(proportions=props, population=n)
 
 
+def record_ticks(net, plan, params, max_ticks, engine=simulate, **kwargs):
+    """Run `engine` (simulate's signature) and rebuild each agent's adoption
+    tick, 0 for one that never adopts, from the adopters `on_tick` reports.
+
+    Asserts that the callback sees ticks 1, 2, ... once each and no agent
+    twice, and that the counts rebuilt from the ticks are the trajectory's.
+    Each reported array is the caller's to keep: the recorder overwrites it,
+    so an engine that read it again would go wrong."""
+    ticks = np.zeros(net.node_count, dtype=np.int64)
+    called = []
+
+    def record(t, adopters):
+        assert len(np.unique(adopters)) == len(adopters)
+        assert not ticks[adopters].any(), "an agent reported twice"
+        ticks[adopters] = t
+        called.append(t)
+        adopters.fill(0)
+
+    traj = engine(net, plan, params, max_ticks, on_tick=record, **kwargs)
+    assert called == list(range(1, len(traj.proportions)))
+    per_tick = np.bincount(ticks, minlength=len(traj.proportions))
+    per_tick[0] = 0  # agents that never adopt
+    assert np.array_equal(np.cumsum(per_tick), traj.adopter_counts)
+    return traj, ticks
+
+
 def assert_same_sequential_run(net, plan, params, max_ticks, rng) -> None:
     """simulate(update=RANDOM_SEQUENTIAL) against the per-agent reference,
     each drawing from its own copy of `rng`."""
     fast_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
-    fast_states, ref_states = [], []
-    fast = simulate(
+    fast, fast_ticks = record_ticks(
         net, plan, params, max_ticks, rng=fast_rng, update=RANDOM_SEQUENTIAL,
-        on_tick=lambda t, adopted: fast_states.append(adopted.copy()),
     )
-    ref = _simulate_sequential_scalar(
-        net, plan, params, max_ticks, ref_rng,
-        on_tick=lambda t, adopted: ref_states.append(adopted.copy()),
+    ref, ref_ticks = record_ticks(
+        net, plan, params, max_ticks, rng=ref_rng,
+        engine=_simulate_sequential_scalar,
     )
     assert np.array_equal(fast.proportions, ref.proportions)
     assert fast.saturated_at == ref.saturated_at
-    assert len(fast_states) == len(ref_states)
-    for a, b in zip(fast_states, ref_states):
-        assert np.array_equal(a, b)
+    assert np.array_equal(fast_ticks, ref_ticks)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -145,40 +169,65 @@ def assert_ticks_follow_rule(net, plan, params, max_ticks) -> None:
     gives delta_utility > 0.
 
     A callback changes nothing: the run without `on_tick`, the one sweeps
-    make, must give the same trajectory as the observed run. Each observed
-    mask is read-only and holds as many adopters as that tick's proportion."""
-    states = []
-
-    def record(t, adopted):
-        assert not adopted.flags.writeable
-        states.append((t, adopted.copy()))
-
-    observed = simulate(net, plan, params, max_ticks, on_tick=record)
+    make, must give the same trajectory as the observed run."""
+    observed, ticks = record_ticks(net, plan, params, max_ticks)
     unobserved = simulate(net, plan, params, max_ticks)
     assert np.array_equal(observed.proportions, unobserved.proportions)
     assert observed.saturated_at == unobserved.saturated_at
-    assert [t for t, _ in states] == list(range(1, len(observed.proportions)))
-    for t, current in states:
-        assert np.count_nonzero(current) == round(observed.proportions[t] * net.node_count)
-    seeded_at = {}
-    for i, node in enumerate(plan.positions.tolist()):
-        seeded_at.setdefault(1 + i // plan.gamma, set()).add(int(node))
-    innovators = set(plan.positions.tolist())
+    released = dict(zip(plan.positions.tolist(), release_ticks(plan).tolist()))
 
-    prev = np.zeros(net.node_count, dtype=bool)
-    for t, current in states:
-        for agent in range(net.node_count):
-            if prev[agent]:
-                assert current[agent], "irreversibility violated"
-                continue
-            if agent in innovators:
-                expected = agent in seeded_at.get(t, ())
+    for t in range(1, len(observed.proportions)):
+        before = (ticks > 0) & (ticks < t)
+        for agent in np.flatnonzero(~before).tolist():
+            if agent in released:
+                expected = released[agent] == t
             else:
                 neigh = net.neighbors(agent)
-                v_plus = np.sum(prev[neigh]) / len(neigh) if len(neigh) else 0.0
+                v_plus = np.sum(before[neigh]) / len(neigh) if len(neigh) else 0.0
                 expected = delta_utility(float(v_plus), params) > 0.0
-            assert current[agent] == expected, (t, agent)
-        prev = current
+            assert (ticks[agent] == t) == expected, (t, agent)
+
+
+def arrival_ticks(net, plan) -> np.ndarray:
+    """Each agent's adoption tick in a synchronous run where every threshold
+    is 1, or 0 for an agent that never adopts.
+
+    An innovator adopts at its release tick, never by imitation; any other
+    agent adopts one tick after its first adopter neighbor. So the ticks
+    are a breadth-first search over the edge list, one tick at a time, from
+    innovators that join it at their release ticks."""
+    n = net.node_count
+    adjacency = [[] for _ in range(n)]
+    for a, b in net.edges.tolist():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    ticks = [0] * n
+    reached = defaultdict(list)  # tick -> the agents that adopt at it
+    for node, tick in zip(plan.positions.tolist(), release_ticks(plan).tolist()):
+        ticks[node] = tick
+        reached[tick].append(node)
+    t = 1
+    while t <= max(reached, default=0):
+        for agent in reached[t]:
+            for other in adjacency[agent]:
+                if not ticks[other]:
+                    ticks[other] = t + 1
+                    reached[t + 1].append(other)
+        t += 1
+    return np.array(ticks, dtype=np.int64)
+
+
+def assert_matches_arrival_ticks(net, plan, params, max_ticks) -> None:
+    """A synchronous run whose every threshold is 1 adopts each agent at its
+    `arrival_ticks` tick, and stops when the stop rule says: at saturation,
+    or two ticks after the last adoption (seeding having ended)."""
+    assert {adoption_threshold(d, params) for d in set(net.degrees.tolist())} == {1}
+    traj, ticks = record_ticks(net, plan, params, max_ticks)
+    expected = arrival_ticks(net, plan)
+    assert np.array_equal(ticks, expected)
+    last = int(expected.max(initial=0))
+    stop = last if expected.all() else max(last, plan.last_tick) + 2
+    assert len(traj.proportions) == stop + 1
 
 
 class TestDeltaUtility:
@@ -336,20 +385,13 @@ class TestSimulateBasics:
         assert traj.proportions[1] == pytest.approx(125 / 40000)
 
     def test_monotone_and_irreversible(self):
+        # an agent is reported once, and the count at each tick is the
+        # agents whose tick has come (record_ticks)
         net = build_lattice(MOORE_200)
         rng = np.random.default_rng(3)
         plan = build_plan(MOORE_200, Pattern.UNIFORM, count=1000, gamma=250, rng=rng)
-        seen = []
-        traj = simulate(
-            net,
-            plan,
-            DecisionParams(delta_u=0.6),
-            max_ticks=500,
-            on_tick=lambda t, adopted: seen.append(adopted.copy()),
-        )
+        traj, _ = record_ticks(net, plan, DecisionParams(delta_u=0.6), max_ticks=500)
         assert np.all(np.diff(traj.proportions) >= 0)
-        for before, after in zip(seen, seen[1:]):
-            assert not np.any(before & ~after)
 
     def test_determinism_same_seed_same_trajectory(self):
         def run():
@@ -367,18 +409,10 @@ class TestSimulateBasics:
         net = build_lattice(spec)
         rng = np.random.default_rng(5)
         plan = build_plan(spec, Pattern.UNIFORM, count=40, gamma=7, rng=rng)
-        snapshots = {}
-        simulate(
-            net,
-            plan,
-            DecisionParams(delta_u=0.6),
-            max_ticks=100,
-            on_tick=lambda t, adopted: snapshots.__setitem__(
-                t, int(np.sum(adopted[plan.positions]))
-            ),
-        )
-        assert snapshots[plan.last_tick] == 40
-        assert max(snapshots.values()) == 40
+        _, ticks = record_ticks(net, plan, DecisionParams(delta_u=0.6), max_ticks=100)
+        # blocks of 7, 7, 7, 7, 7, 5 at ticks 1-6, none before its tick
+        assert np.array_equal(ticks[plan.positions], release_ticks(plan))
+        assert np.bincount(ticks[plan.positions]).tolist() == [0, 7, 7, 7, 7, 7, 5]
 
 
 class TestSaturationTimes:
@@ -459,6 +493,105 @@ class TestThresholdEquivalence:
         net = with_isolated_nodes(spec, [0, 14, 21])
         plan = permuted_plan(np.array([7, 21, 28]), 2, np.random.default_rng(3))
         assert_ticks_follow_rule(net, plan, DecisionParams(delta_u=delta_u), 40)
+
+
+def grid_cell(k, delta_u, sigma, p_r, gamma) -> SimConfig:
+    """The default grid's cell, with the seed of its replication 0 in a
+    master-seed-0 sweep."""
+    grid = default_grid()
+    index = next(i for i, c in enumerate(grid) if
+                 (c.k, c.delta_u, c.sigma.value, c.p_r, c.gamma)
+                 == (k, delta_u, sigma, p_r, gamma))
+    return dataclasses.replace(grid[index], seed=derive_run_seed(0, index, 0))
+
+
+class TestArrivalTimeOracle:
+    """Where every threshold is 1, a synchronous run is a breadth-first
+    search from the innovators (`arrival_ticks`)."""
+
+    # at alpha 0.5, delta_u 0.99 needs an adopted fraction above 0.005:
+    # one adopter neighbor below degree 200; an isolated agent never adopts
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 15),
+        cols=st.integers(2, 15),
+        neighborhood=st.sampled_from(list(Neighborhood)),
+        p_r=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        pattern=st.sampled_from(list(Pattern)),
+        count=st.integers(1, 20),
+        gamma=st.sampled_from([1, 2, 3, 7, 50]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_breadth_first_search_on_rewired_lattices(
+        self, rows, cols, neighborhood, p_r, pattern, count, gamma, seed,
+    ):
+        spec = LatticeSpec(rows, cols, neighborhood)
+        rng = np.random.default_rng(seed)
+        net = rewire(build_lattice(spec), p_r, rng)
+        try:
+            plan = build_plan(spec, pattern, min(count, spec.node_count), gamma, rng)
+        except ValueError:  # intermediate clusters overlap on small lattices
+            assume(False)
+        assert_matches_arrival_ticks(
+            net, plan, DecisionParams(delta_u=0.99, alpha=0.5),
+            max_ticks=plan.last_tick + spec.node_count,
+        )
+
+    @pytest.mark.parametrize("cell", [
+        (8, 0.8, "uniform", 0.0025, 200),  # rewired, degrees up to 9
+        (8, 0.8, "intermediate", 0.0, 125),
+        (4, 0.6, "intermediate", 0.0, 250),
+        (4, 0.8, "compact", 0.04, 125),
+    ])
+    def test_matches_breadth_first_search_on_grid_cells(self, cell):
+        config = grid_cell(*cell)
+        net, plan, _ = config.realize()
+        assert_matches_arrival_ticks(
+            net, plan, DecisionParams(config.delta_u, config.alpha),
+            config.max_ticks,
+        )
+
+    @pytest.mark.parametrize("cell, metric, saturated_at", [
+        ((8, 0.8, "compact", 0.0, 1000), "chessboard", 86),
+        ((4, 0.8, "intermediate", 0.0, 1000), "taxicab", 88),
+    ])
+    def test_unrewired_ticks_are_the_seed_distance_transform(
+        self, cell, metric, saturated_at,
+    ):
+        # every innovator adopts at tick 1, so an agent adopts one tick
+        # after its lattice distance to the nearest innovator
+        config = grid_cell(*cell)
+        net, plan, _ = config.realize()
+        assert plan.last_tick == 1
+        traj, ticks = record_ticks(
+            net, plan, DecisionParams(config.delta_u, config.alpha),
+            config.max_ticks,
+        )
+        unseeded = np.ones(config.lattice.node_count, dtype=bool)
+        unseeded[plan.positions] = False
+        shape = (config.lattice.rows, config.lattice.cols)
+        distance = distance_transform_cdt(unseeded.reshape(shape), metric=metric)
+        assert np.array_equal(ticks.reshape(shape), 1 + distance)
+        assert traj.saturated_at == saturated_at
+
+
+class TestAdoptionTicks:
+    @pytest.mark.parametrize("update", [SYNCHRONOUS, RANDOM_SEQUENTIAL])
+    @pytest.mark.parametrize("cell", [
+        (8, 0.6, "compact", 0.01, 125),
+        (4, 0.8, "uniform", 0.04, 200),
+    ])
+    def test_ticks_give_the_counts_and_release_innovators_on_time(
+        self, cell, update,
+    ):
+        # record_ticks checks the counts against adopter_counts
+        config = grid_cell(*cell)
+        net, plan, rng = config.realize()
+        _, ticks = record_ticks(
+            net, plan, DecisionParams(config.delta_u, config.alpha),
+            config.max_ticks, rng=rng, update=update,
+        )
+        assert np.array_equal(ticks[plan.positions], release_ticks(plan))
 
 
 class TestThresholdTable:

@@ -239,14 +239,6 @@ def test_plan_compares_and_hashes_by_identity():
     assert len({plan, twin}) == 2
 
 
-@pytest.mark.parametrize("tick", range(5))
-def test_unseeded_after_is_the_later_ticks_blocks(tick):
-    plan = permuted_plan(np.arange(7), 3, np.random.default_rng(0))
-    later = [plan.seeds_at(t) for t in range(tick + 1, plan.last_tick + 1)]
-    assert np.array_equal(plan.unseeded_after(tick),
-                          np.concatenate([np.empty(0, dtype=np.int64)] + later))
-
-
 @pytest.mark.parametrize("positions", [
     [1, 2], np.array([1.0, 2.0]), np.array([[1, 2], [3, 4]]),
     np.array([True, False]), np.array(3),
