@@ -2,9 +2,10 @@
 
 The CLI parses: it casts each config key or argument to its type, and the
 model types (`SimConfig`, `LatticeSpec`, `Neighborhood.for_k`, `BassParams`)
-check the values before any run starts. A model type's `ValueError` is a
-usage error that names the argument or config file; an error raised by a
-run is a runtime failure.
+and range rules (`_check_integer` for the counts and the seed) check the
+values before any run starts. Their `ValueError` is a usage error that
+names the argument or config file; an error raised by a run is a runtime
+failure.
 
 Each subcommand takes only the options it uses: `--seed` belongs to the
 commands that draw at random (`simulate`, `sweep`, `netstats`), `--out` to
@@ -221,7 +222,7 @@ def _sim_config(
 def cmd_simulate(args) -> int:
     values = _read_config(args.config, _sim_config)
     config = _checked(f"config {args.config}", _sim_config, **values)
-    run = dataclasses.replace(config, seed=args.seed)  # main checked the seed
+    run = dataclasses.replace(config, seed=args.seed)
     traj = run.simulate()
     write_trajectory_csv(traj, args.out)
     _write_manifest(args, args.out, {"config_file": args.config, **values})
@@ -232,6 +233,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for flag, count in (("replications", args.replications), ("jobs", args.jobs)):
+        _checked(f"argument --{flag}", _check_integer, flag, count, 1)
     values = _read_config(args.config, default_grid)
     grid = _checked(f"config {args.config}", default_grid, **values)
     # made before the runs, so that an --out that cannot be a directory
@@ -352,6 +355,7 @@ def cmd_envelope(args) -> int:
 def cmd_netstats(args) -> int:
     neighborhood = _checked("argument --k", Neighborhood.for_k, args.k)
     _checked("argument --p-r", _check_real, "p_r", args.p_r, 0, 1)
+    _checked("argument --sample", _check_integer, "sample", args.sample, 1)
     lattice = _checked("arguments --rows/--cols", LatticeSpec,
                        args.rows, args.cols, neighborhood)
     rng = np.random.default_rng(args.seed)
@@ -364,13 +368,6 @@ def cmd_netstats(args) -> int:
     return _emit_json(args, json.dumps(payload, indent=2),
                       {"rows": args.rows, "cols": args.cols, "k": args.k,
                        "p_r": args.p_r, "sample": args.sample})
-
-
-def _count(text: str) -> int:
-    """argparse type of a count argument: an integer >= 1."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid and fit every run")
     p.add_argument("config", help="JSON grid config file ({} for defaults)")
-    p.add_argument("--replications", type=_count, default=1)
-    p.add_argument("--jobs", type=_count, default=1,
+    p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
                    help="most worker processes, an integer >= 1: at most "
                         "one per 8 grid cells, and a sweep left with one "
                         "runs in-process")
@@ -457,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=200)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--p-r", type=float, default=0.0)
-    p.add_argument("--sample", type=_count, default=256,
+    p.add_argument("--sample", type=int, default=256,
                    help="path-length source sample size")
     add_seed(p)
     p.add_argument("--out", default=None,
@@ -469,12 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2**64:
-        print("error: --seed must fit an unsigned 64-bit integer",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if hasattr(args, "seed"):
+            _checked("argument --seed", _check_integer, "seed", args.seed, 0, 2**64 - 1)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,11 +45,12 @@ def last_activation_tick(count: int, gamma: int) -> int:
 class SeedingPlan:
     """Which agents adopt exogenously, and when.
 
-    `positions`, a 1-D integer array kept as the read-only copy that was
-    checked, is in activation order: innovators activate in blocks of
-    `gamma` per tick, the block for tick t = 1, 2, ... being
-    positions[(t-1)*gamma : t*gamma]; the final block may be partial, and
-    only `seeds_at` reads this layout. Compared by identity.
+    `positions`, a 1-D array of any integer dtype kept as the read-only
+    `np.intp` copy that was checked (the engine's index type), is in
+    activation order: innovators activate in blocks of `gamma` per tick,
+    the block for tick t = 1, 2, ... being positions[(t-1)*gamma : t*gamma];
+    the final block may be partial, and only `seeds_at` reads this layout.
+    Compared by identity.
     """
 
     positions: np.ndarray
@@ -62,7 +63,7 @@ class SeedingPlan:
             raise ValueError(
                 f"positions must be a 1-D integer ndarray, got {positions!r}")
         _check_integer("gamma", self.gamma, 1)
-        positions = positions.copy()
+        positions = positions.astype(np.intp)
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         if _has_repeat(positions):

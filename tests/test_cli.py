@@ -384,14 +384,6 @@ def test_simulate_missing_config_file(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
-def test_seed_must_fit_uint64(tmp_path, capsys):
-    config = write_json(tmp_path / "sim.json", SMALL_SIM)
-    code, _, err = run_cli(capsys, "simulate", config,
-                           "--seed", str(2**64))
-    assert code == EXIT_CONFIG
-    assert "seed" in err
-
-
 # ---- sweep ----
 
 
@@ -559,20 +551,9 @@ def test_sweep_bad_sigma_level_names_the_key(tmp_path, capsys):
     assert "config key 'sigma_levels' must be one of" in err
 
 
-@pytest.mark.parametrize(
-    "argv,named",
-    [(["sweep", "grid.json", "--replications", "0"], "--replications"),
-     (["sweep", "grid.json", "--jobs", "0"], "--jobs"),
-     (["sweep", "grid.json", "--jobs", "-2"], "--jobs"),
-     (["netstats", "--sample", "0"], "--sample")],
-    ids=["replications", "jobs", "negative-jobs", "sample"],
-)
-def test_count_below_one_is_a_usage_error(capsys, monkeypatch, argv, named):
-    _no_runs(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_CONFIG
-    assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
+# config files that a run could start from, outside the working directory
+GRID = "../config/grid.json"
+SIM = "../config/sim.json"
 
 
 @pytest.mark.parametrize(
@@ -580,17 +561,51 @@ def test_count_below_one_is_a_usage_error(capsys, monkeypatch, argv, named):
     [(["netstats", "--p-r", "1.5"], "--p-r",
       "p_r must be a real number in [0, 1], finite as a float, got 1.5"),
      (["bass", "0.03", "0.4", "--t-max", "-1", "--out", "curve.csv"], "--t-max",
-      "t_max must be an integer >= 0, got -1")],
-    ids=["netstats-p-r", "bass-t-max"],
+      "t_max must be an integer >= 0, got -1"),
+     # a config file that does not exist: the counts are checked first
+     (["sweep", "grid.json", "--replications", "0"], "--replications",
+      "replications must be an integer >= 1, got 0"),
+     (["sweep", GRID, "--jobs", "0"], "--jobs", "jobs must be an integer >= 1, got 0"),
+     (["sweep", GRID, "--jobs", "-2"], "--jobs",
+      "jobs must be an integer >= 1, got -2"),
+     (["netstats", "--sample", "0"], "--sample",
+      "sample must be an integer >= 1, got 0"),
+     *[([*command, "--seed", str(seed)], "--seed",
+        f"seed must be an integer in [0, {2**64 - 1}], got {seed}")
+       for command in (["simulate", SIM], ["sweep", GRID], ["netstats"])
+       for seed in (-1, 2**64)]],
+    ids=["netstats-p-r", "bass-t-max", "replications", "jobs", "negative-jobs",
+         "sample", *(f"{command}-seed-{seed}"
+                     for command in ("simulate", "sweep", "netstats")
+                     for seed in ("-1", "2**64"))],
 )
 def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                 argv, named, message):
+    (tmp_path / "config").mkdir()
+    write_json(tmp_path / "config" / "grid.json", SMALL_GRID)
+    write_json(tmp_path / "config" / "sim.json", SMALL_SIM)
+    _no_runs(monkeypatch)
     # run in an empty directory, so that any file the command wrote shows
-    monkeypatch.chdir(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
-    assert f"argument {named}: {message}" in err
-    assert out == "" and not os.listdir(tmp_path)
+    assert f"error: argument {named}: {message}" in err
+    assert out == "" and not os.listdir(work)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "grid.json", "--jobs", "abc"],
+                                  ["netstats", "--sample", "2.5"],
+                                  ["netstats", "--seed", "0x1"]])
+def test_non_integer_count_or_seed_is_a_usage_error(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {argv[-2]}: invalid int value" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 # ---- envelope ----

@@ -792,6 +792,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=10)
 
+    def test_rejects_unsigned_position_past_the_index_range(self):
+        # 2**63 wraps to a negative index in the plan's intp copy
+        net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
+        plan = SeedingPlan(np.array([0, 2**63], dtype=np.uint64), 1)
+        with pytest.raises(ValueError, match="outside the network"):
+            simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=10)
+
+    @pytest.mark.parametrize("update", [SYNCHRONOUS, RANDOM_SEQUENTIAL])
+    def test_unsigned_positions_run_as_signed_ones(self, update):
+        # joined to the engine's int64 deciders, unsigned seeds would
+        # promote a tick's adopters to float64, which cannot index
+        net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
+        runs = []
+        for dtype in (np.int64, np.uint64):
+            plan = SeedingPlan(np.array([0, 1], dtype=dtype), 1)
+            traj, ticks = record_ticks(
+                net, plan, DecisionParams(delta_u=0.6), max_ticks=10,
+                rng=np.random.default_rng(3), update=update,
+            )
+            dtypes = set()
+            simulate(net, plan, DecisionParams(delta_u=0.6), max_ticks=10,
+                     rng=np.random.default_rng(3), update=update,
+                     on_tick=lambda t, adopters: dtypes.add(adopters.dtype))
+            assert dtypes == {np.dtype(np.int64)}
+            runs.append((traj.adopter_counts.tolist(), ticks.tolist()))
+        assert runs[0] == runs[1]
+        if update == SYNCHRONOUS:
+            assert runs[0][0] == [0, 1, 2, 4, 8, 13, 19, 22, 25]
+
     def test_rejects_short_max_ticks(self):
         net = build_lattice(LatticeSpec(5, 5, Neighborhood.MOORE))
         plan = permuted_plan(np.arange(6), 2, np.random.default_rng(0))

@@ -220,13 +220,15 @@ def test_plan_invariants_rejected():
     assert SeedingPlan(np.array([1, 2], dtype=np.uint16), 1).last_tick == 2
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.uint64])
 def test_plan_keeps_the_distinct_positions_it_checked(dtype):
     given = np.array([1, 2, 3], dtype=dtype)
     plan = SeedingPlan(given, 2)
     given[0] = 2  # the caller's array changes after the check
     assert plan.positions.tolist() == [1, 2, 3]
-    assert plan.positions.dtype == given.dtype
+    # the engine's index type: joined to the engine's int64 deciders, an
+    # unsigned array would promote them to float64
+    assert plan.positions.dtype == np.intp
     with pytest.raises(ValueError, match="read-only"):
         plan.positions[0] = 2
 
